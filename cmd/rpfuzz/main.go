@@ -5,8 +5,9 @@
 // under MOD/REF and points-to analysis, and the §3.3/§3.4 variants —
 // runs them in the instrumented interpreter, and flags any
 // disagreement in printed output or exit code as a miscompilation.
-// Failing seeds are shrunk with a delta-debugging reducer and
-// archived as self-contained repro artifacts.
+// A set of oracles adds further checks to every seed. Failing seeds
+// are shrunk with a delta-debugging reducer and archived as
+// self-contained repro artifacts.
 //
 // Usage:
 //
@@ -17,63 +18,62 @@
 //	-parallel M   concurrent seeds (default: one per CPU)
 //	-short        trim the matrix to the reference plus the paper's
 //	              three measured pipelines (CI smoke runs)
-//	-engines E    engine matrix: "flat" runs the default engine only;
-//	              "both" adds the switch reference engine; "all" adds
-//	              the switch and native engines; a comma list (e.g.
-//	              "flat,native") selects engines individually. Every
-//	              non-flat engine executes each compilation and any
-//	              disagreement with the flat engine — output, exit,
-//	              error text, dynamic counts — is a divergence, so a
-//	              native run is a translation-validation check of the
-//	              codegen on every seed
+//	-oracles L    checks beside the cross-configuration diff, which
+//	              always runs: a comma list of the names below, or
+//	              "all" (default: none)
+//	                switch       execute every compilation on the
+//	                             switch reference engine too
+//	                native       execute every compilation as native
+//	                             machine code too (translation
+//	                             validation of the codegen)
+//	                sanitize     run every interpreted execution under
+//	                             the analysis-soundness sanitizer
+//	                certify      re-prove every promotion certificate
+//	                             with the region-soundness verifier
+//	                incremental  compile a one-unit-edited variant cold
+//	                             into a fresh analysis cache, recompile
+//	                             warm against it (both directions), and
+//	                             demand the IL of an uncached compile
+//	              An engine oracle must agree with the flat engine on
+//	              output, exit, error text and dynamic counts. Every
+//	              finding is a divergence, archived like any other
 //	-native-backend B  how native artifacts execute: "auto" (probe
 //	              plugin, fall back to subprocess), "plugin", or
 //	              "subprocess"; the fuzzer defaults to subprocess
 //	              because plugins can never be unloaded and a fuzz run
 //	              builds one artifact per (seed, config)
-//	-sanitize     additionally run every execution under the
-//	              analysis-soundness sanitizer; a memory access outside
-//	              the static MOD/REF or points-to sets is a divergence,
-//	              archived like any other
-//	-certify      additionally re-prove every promotion certificate with
-//	              the independent region-soundness verifier on every
-//	              compilation; a refuted certificate is a divergence,
-//	              archived like any other
 //	-noreduce     archive failures without shrinking them first
-//	-incremental  run the incremental-compilation oracle instead: per
-//	              seed, compile a one-unit-edited variant cold into a
-//	              fresh analysis cache, recompile the full program warm
-//	              against it (and the reverse direction), and fail
-//	              unless the warm IL is byte-identical to an uncached
-//	              compile — a stale replayed summary is a divergence
 //	-corpus DIR   failure artifact directory (default difftest/corpus)
 //	-progress N   print a progress line every N completed seeds
 //	              (default 100; 0 disables)
 //	-v            log each divergent seed as it is found
 //
-// Long runs are not silent: a progress line (seeds done, divergences,
-// sanitizer violations, refuted certificates, elapsed, seeds/sec) goes
-// to stderr every -progress seeds, and a matching summary line always
-// ends the run.
+// For example, the full smoke run:
 //
-// Exit status is 0 when every seed agrees under every configuration,
-// 1 when any divergence was found, 2 on usage or I/O errors. Each
-// failure is written to <corpus>/seed<N>/ as prog.c (generator
-// output), reduced.c (minimal reproducer), il-<config>.txt (final IL
-// per configuration), and repro.txt (divergence summary plus repro
-// command).
+//	go run ./cmd/rpfuzz -seeds 200 -short -oracles all
+//
+// Long runs are not silent: a progress line (seeds done, divergences,
+// each oracle's checks and firings, elapsed, seeds/sec) goes to stderr
+// every -progress seeds, and a matching summary line always ends the
+// run.
+//
+// Exit status is 0 when every seed agrees under every configuration
+// and no oracle fired, 1 when any divergence was found, 2 on usage or
+// I/O errors. Each failure is written to <corpus>/seed<N>/ as prog.c
+// (generator output), reduced.c (minimal reproducer), il-<config>.txt
+// (final IL per configuration), and repro.txt (divergence summary
+// plus the repro command, -oracles included); an incremental finding
+// adds base.c, mutated.c, il-warm.txt and il-scratch.txt.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"regpromo/internal/difftest"
-	"regpromo/internal/driver"
-	"regpromo/internal/interp"
 	"regpromo/internal/native"
 )
 
@@ -83,12 +83,9 @@ func main() {
 	parallel := flag.Int("parallel", 0, "concurrent seeds (0 = one per CPU)")
 	short := flag.Bool("short", false, "trim the configuration matrix for smoke runs")
 	noreduce := flag.Bool("noreduce", false, "skip delta-debugging reduction of failures")
-	incremental := flag.Bool("incremental", false, "run the incremental-compilation oracle (warm-vs-scratch IL identity)")
 	corpus := flag.String("corpus", "difftest/corpus", "failure artifact directory")
-	engines := flag.String("engines", "flat", `engine matrix: "flat", "both", "all", or a comma list (e.g. "flat,native")`)
+	oracleList := flag.String("oracles", "", `oracles beside the cross-configuration diff: a comma list of switch, native, sanitize, certify, incremental, or "all"`)
 	nativeBackend := flag.String("native-backend", "", `native artifact execution: "auto", "plugin", or "subprocess" (default subprocess)`)
-	sanitize := flag.Bool("sanitize", false, "run executions under the analysis-soundness sanitizer")
-	certify := flag.Bool("certify", false, "re-prove promotion certificates with the region-soundness verifier")
 	progressEvery := flag.Int64("progress", 100, "print a progress line every N completed seeds (0 = off)")
 	verbose := flag.Bool("v", false, "log each divergence as it is found")
 	flag.Parse()
@@ -96,16 +93,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rpfuzz: -seeds must be positive")
 		os.Exit(2)
 	}
-	matrix, err := driver.ParseEngines(*engines)
+	oracles, err := difftest.ParseOracles(*oracleList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rpfuzz:", err)
 		os.Exit(2)
-	}
-	hasNative := false
-	for _, e := range matrix {
-		if e == interp.EngineNative {
-			hasNative = true
-		}
 	}
 	switch {
 	case *nativeBackend != "":
@@ -115,146 +106,55 @@ func main() {
 			os.Exit(2)
 		}
 		native.SetDefaultBackend(b)
-	case hasNative:
+	case oracles&difftest.Native != 0:
 		// Unless overridden, fuzzing forces the subprocess backend:
 		// every (seed, config) pair builds a distinct artifact and
 		// plugins can never be unloaded from the process.
 		native.SetDefaultBackend(native.BackendSubprocess)
 	}
-	if *incremental {
-		os.Exit(runIncremental(*start, *seeds, *parallel, *short, *corpus, *progressEvery, *verbose))
-	}
 
-	opts := difftest.FuzzOptions{
+	began := time.Now()
+	report, err := difftest.Fuzz(difftest.FuzzOptions{
 		Start:     *start,
 		Seeds:     *seeds,
 		Parallel:  *parallel,
 		Short:     *short,
-		Engines:   matrix,
-		Sanitize:  *sanitize,
-		Certify:   *certify,
+		Oracles:   oracles,
 		Reduce:    !*noreduce,
 		CorpusDir: *corpus,
-	}
-
-	// Progress accounting shared by the (possibly parallel) seed
-	// workers. Progress runs on worker goroutines, so everything it
-	// touches is atomic.
-	began := time.Now()
-	var done, diverged, sanitizerHits, certifyHits atomic.Int64
-	opts.Progress = func(seed int64, div, san, cert bool) {
-		n := done.Add(1)
-		if div {
-			diverged.Add(1)
-			if *verbose {
+		Progress: func(seed int64, diverged bool, sofar difftest.Tally) {
+			if diverged && *verbose {
 				fmt.Fprintf(os.Stderr, "rpfuzz: seed %d diverges\n", seed)
 			}
-		}
-		if san {
-			sanitizerHits.Add(1)
-		}
-		if cert {
-			certifyHits.Add(1)
-		}
-		if *progressEvery > 0 && n%*progressEvery == 0 {
-			fmt.Fprintf(os.Stderr, "rpfuzz: %s\n",
-				statusLine(n, *seeds, diverged.Load(), sanitizerHits.Load(), certifyHits.Load(), time.Since(began)))
-		}
-	}
-
-	report, err := difftest.Fuzz(opts)
+			if *progressEvery > 0 && sofar.Seeds%*progressEvery == 0 {
+				fmt.Fprintf(os.Stderr, "rpfuzz: %s\n", statusLine(sofar, *seeds, time.Since(began)))
+			}
+		},
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rpfuzz:", err)
 		os.Exit(2)
 	}
 	fmt.Printf("rpfuzz: seeds [%d, %d) × %d configs: %s\n",
-		*start, *start+*seeds, len(report.Matrix),
-		statusLine(done.Load(), *seeds, diverged.Load(), sanitizerHits.Load(), certifyHits.Load(), time.Since(began)))
+		*start, *start+*seeds, len(report.Matrix), statusLine(report.Tally, *seeds, time.Since(began)))
 	if len(report.Failures) == 0 {
 		return
 	}
 	for _, f := range report.Failures {
-		fmt.Printf("\nseed %d (reduced to %d units) — artifacts in %s\n%s",
-			f.Seed, f.Units, f.Dir, indent(f.Divergence))
+		fmt.Printf("\nseed %d (reduced to %d units) — artifacts in %s\n  %s\n",
+			f.Seed, f.Units, f.Dir, strings.ReplaceAll(strings.TrimSuffix(f.Divergence, "\n"), "\n", "\n  "))
 	}
 	os.Exit(1)
 }
 
-// runIncremental drives the incremental-compilation oracle
-// (difftest.FuzzIncremental) and returns the process exit status:
-// 0 when every warm compile was byte-identical to scratch, 1 when any
-// seed diverged, 2 on infrastructure errors.
-func runIncremental(start, seeds int64, parallel int, short bool, corpus string, progressEvery int64, verbose bool) int {
-	began := time.Now()
-	var done, diverged atomic.Int64
-	opts := difftest.IncrementalOptions{
-		Start:     start,
-		Seeds:     seeds,
-		Parallel:  parallel,
-		Short:     short,
-		CorpusDir: corpus,
-		Progress: func(seed int64, div bool) {
-			n := done.Add(1)
-			if div {
-				diverged.Add(1)
-				if verbose {
-					fmt.Fprintf(os.Stderr, "rpfuzz: seed %d incremental compile diverges\n", seed)
-				}
-			}
-			if progressEvery > 0 && n%progressEvery == 0 {
-				fmt.Fprintf(os.Stderr, "rpfuzz: incremental %s\n",
-					statusLine(n, seeds, diverged.Load(), 0, 0, time.Since(began)))
-			}
-		},
-	}
-	report, err := difftest.FuzzIncremental(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rpfuzz:", err)
-		return 2
-	}
-	fmt.Printf("rpfuzz: incremental oracle, seeds [%d, %d) × %d configs × 2 directions: %s\n",
-		start, start+seeds, len(report.Matrix),
-		statusLine(done.Load(), seeds, diverged.Load(), 0, 0, time.Since(began)))
-	if len(report.Failures) == 0 {
-		return 0
-	}
-	for _, f := range report.Failures {
-		fmt.Printf("\nseed %d — artifacts in %s\n%s", f.Seed, f.Dir, indent(f.Divergence))
-	}
-	return 1
-}
-
 // statusLine renders the shared progress/summary form: seeds done,
-// divergences, sanitizer violations, refuted certificates, elapsed
-// wall time, seeds/sec.
-func statusLine(done, total, diverged, sanitizer, certify int64, elapsed time.Duration) string {
+// the tally of divergences and oracle checks, elapsed wall time,
+// seeds/sec.
+func statusLine(t difftest.Tally, total int64, elapsed time.Duration) string {
 	rate := 0.0
 	if secs := elapsed.Seconds(); secs > 0 {
-		rate = float64(done) / secs
+		rate = float64(t.Seeds) / secs
 	}
-	return fmt.Sprintf("%d/%d seeds, %d divergences (%d sanitizer, %d certify), %.1fs elapsed, %.1f seeds/sec",
-		done, total, diverged, sanitizer, certify, elapsed.Seconds(), rate)
-}
-
-func indent(s string) string {
-	var out string
-	for _, line := range splitLines(s) {
-		out += "  " + line + "\n"
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			lines = append(lines, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		lines = append(lines, s[start:])
-	}
-	return lines
+	return fmt.Sprintf("%d/%d seeds, %s, %.1fs elapsed, %.1f seeds/sec",
+		t.Seeds, total, t, elapsed.Seconds(), rate)
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"regpromo/internal/analysis/certify"
@@ -103,6 +104,7 @@ func delta(program, config, metric string, old, cur int64, higherIsBetter, gated
 // counted.
 func Compare(old, cur *Report, threshold float64) *CompareReport {
 	cr := &CompareReport{Threshold: threshold}
+	gatePressure := old.schemaVersion() >= pressureSchema && cur.schemaVersion() >= pressureSchema
 	for i := range cur.Programs {
 		np := &cur.Programs[i]
 		op, ok := old.Program(np.Name)
@@ -130,8 +132,11 @@ func Compare(old, cur *Report, threshold float64) *CompareReport {
 			// a promotion change that pushes a site over the register
 			// budget — or deepens the worst boundary — is a regression
 			// even when the dynamic counts improve (the spilling shows
-			// up at allocation, not in the interpreter's counters).
-			if len(oc.Pressure) > 0 || len(nc.Pressure) > 0 {
+			// up at allocation, not in the interpreter's counters). It
+			// gates only when both reports record it: an older report
+			// never measured pressure, so its empty cells are unknown,
+			// not zero.
+			if gatePressure && (len(oc.Pressure) > 0 || len(nc.Pressure) > 0) {
 				cr.Deltas = append(cr.Deltas,
 					delta(np.Name, key, "pressure/over_budget", overBudgetSites(oc.Pressure), overBudgetSites(nc.Pressure), false, true),
 					delta(np.Name, key, "pressure/max_live", worstMaxLive(oc.Pressure), worstMaxLive(nc.Pressure), false, true),
@@ -189,6 +194,17 @@ func Compare(old, cur *Report, threshold float64) *CompareReport {
 		}
 	}
 	return cr
+}
+
+// pressureSchema is the first schema version that records the static
+// register-pressure reports (ConfigReport.Pressure).
+const pressureSchema = 6
+
+// schemaVersion returns N of the report's "regpromo-bench/N" schema,
+// or 0 when it does not parse.
+func (r *Report) schemaVersion() int {
+	n, _ := strconv.Atoi(strings.TrimPrefix(r.Schema, "regpromo-bench/"))
+	return n
 }
 
 // overBudgetSites counts a cell's promotion sites flagged over the

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"regpromo/internal/analysis/certify"
 )
 
 func loadFixture(t *testing.T, name string) *Report {
@@ -298,6 +300,96 @@ func TestPct(t *testing.T) {
 	for _, c := range cases {
 		if got := pct(c.old, c.cur); got != c.want {
 			t.Errorf("pct(%d, %d) = %v, want %v", c.old, c.cur, got, c.want)
+		}
+	}
+}
+
+// withPressure returns the trend_old.json fixture re-stamped at the
+// current schema, with the given pressure report on its one promoting
+// cell (matmul, modref+promote).
+func withPressure(t *testing.T, ps ...certify.Pressure) *Report {
+	t.Helper()
+	r := loadFixture(t, "trend_old.json")
+	r.Schema = SchemaVersion
+	p, _ := r.Program("matmul")
+	c, ok := p.Config("modref", true)
+	if !ok {
+		t.Fatal("fixture lacks matmul modref+promote")
+	}
+	c.Pressure = ps
+	return r
+}
+
+func pressureDeltas(cr *CompareReport) []Delta {
+	var ds []Delta
+	for _, d := range cr.Deltas {
+		if strings.HasPrefix(d.Metric, "pressure/") {
+			ds = append(ds, d)
+		}
+	}
+	return ds
+}
+
+// TestComparePressureNeedsBothSchemas: a report from before schema 6
+// never measured pressure, so comparing it with one that did must not
+// read its empty cells as zero (a false 0→N regression) — in either
+// direction. Between two schema-6 reports, a site going over budget
+// still fails the gate.
+func TestComparePressureNeedsBothSchemas(t *testing.T) {
+	pre := loadFixture(t, "trend_old.json")
+	if pre.schemaVersion() >= pressureSchema {
+		t.Fatalf("fixture schema %q is not pre-pressure", pre.Schema)
+	}
+	over := withPressure(t, certify.Pressure{Func: "main", Values: 28, MaxLive: 80, Limit: 32, OverBudget: true})
+	for _, pair := range [][2]*Report{{pre, over}, {over, pre}} {
+		cr := Compare(pair[0], pair[1], 1.0)
+		if !cr.OK() {
+			t.Errorf("%s → %s: false regressions %v", pair[0].Schema, pair[1].Schema, cr.Regressions())
+		}
+		if ds := pressureDeltas(cr); len(ds) != 0 {
+			t.Errorf("%s → %s: pressure compared against a report that never measured it: %v",
+				pair[0].Schema, pair[1].Schema, ds)
+		}
+	}
+
+	under := withPressure(t, certify.Pressure{Func: "main", Values: 10, MaxLive: 20, Limit: 32})
+	cr := Compare(under, over, 1.0)
+	if cr.OK() {
+		t.Fatal("a site going over budget passed the gate")
+	}
+	regs := map[string]Delta{}
+	for _, d := range cr.Regressions() {
+		regs[d.Metric] = d
+	}
+	if d, ok := regs["pressure/over_budget"]; !ok || d.Old != 0 || d.New != 1 {
+		t.Errorf("pressure/over_budget regression = %+v (found %v)", d, ok)
+	}
+	if d, ok := regs["pressure/max_live"]; !ok || d.Old != 20 || d.New != 80 {
+		t.Errorf("pressure/max_live regression = %+v (found %v)", d, ok)
+	}
+	if !Compare(over, over, 1.0).OK() {
+		t.Error("identical schema-6 reports regressed")
+	}
+}
+
+// TestPressureHelpers pins the two per-cell pressure reductions the
+// gate compares.
+func TestPressureHelpers(t *testing.T) {
+	cases := []struct {
+		name       string
+		ps         []certify.Pressure
+		over, live int64
+	}{
+		{"none", nil, 0, 0},
+		{"under", []certify.Pressure{{MaxLive: 12}}, 0, 12},
+		{"mixed", []certify.Pressure{{MaxLive: 40, OverBudget: true}, {MaxLive: 80}, {MaxLive: 33, OverBudget: true}}, 2, 80},
+	}
+	for _, c := range cases {
+		if got := overBudgetSites(c.ps); got != c.over {
+			t.Errorf("%s: overBudgetSites = %d, want %d", c.name, got, c.over)
+		}
+		if got := worstMaxLive(c.ps); got != c.live {
+			t.Errorf("%s: worstMaxLive = %d, want %d", c.name, got, c.live)
 		}
 	}
 }

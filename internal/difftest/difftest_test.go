@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"regpromo/internal/driver"
@@ -15,7 +16,7 @@ import (
 func TestDiffSeedAgreesOnMain(t *testing.T) {
 	matrix := driver.DifferentialConfigurations(false)
 	for seed := int64(1); seed <= 5; seed++ {
-		r := DiffSeed(seed, matrix)
+		r := DiffSeed(seed, matrix, 0)
 		if d := r.Divergence(); d != "" {
 			t.Errorf("seed %d diverges:\n%s\n%s", seed, d, r.Source)
 		}
@@ -118,7 +119,7 @@ func TestReducedCandidatesStayWellFormed(t *testing.T) {
 	probes := 0
 	Reduce(seed, func(src string) bool {
 		probes++
-		r := DiffSource("cand.c", src, ref)
+		r := DiffSource("cand.c", src, ref, 0)
 		// Compile errors are legitimate rejected trials (e.g. a
 		// pruned helper that is still called); runtime faults are
 		// not — pruning whole units must never corrupt the program.
@@ -132,31 +133,162 @@ func TestReducedCandidatesStayWellFormed(t *testing.T) {
 	}
 }
 
-// TestWriteArtifacts archives a (non-divergent) result and checks the
-// corpus layout.
+// TestWriteArtifacts archives (non-divergent) results under several
+// oracle sets and checks the corpus layout, and that the repro
+// command's -oracles list parses back to the run's set.
 func TestWriteArtifacts(t *testing.T) {
 	matrix := driver.DifferentialConfigurations(true)
-	r := DiffSeed(7, matrix)
-	dir := t.TempDir()
-	sub, err := WriteArtifacts(dir, r, r.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"prog.c", "reduced.c", "repro.txt"}
-	for _, nc := range matrix {
-		want = append(want, "il-"+nc.Name+".txt")
-	}
-	for _, name := range want {
-		data, err := os.ReadFile(filepath.Join(sub, name))
+	for _, oracles := range []Oracles{0, Sanitize, Switch | Certify | Incremental} {
+		r := DiffSeed(7, matrix, oracles)
+		want := []string{"prog.c", "reduced.c", "repro.txt"}
+		for _, nc := range matrix {
+			want = append(want, "il-"+nc.Name+".txt")
+		}
+		if r.Incremental != nil {
+			// Plant an incremental finding: its artifacts join the
+			// seed directory.
+			r.Incremental.Divergence = "baseline/grow: planted\n"
+			r.Incremental.WarmIL, r.Incremental.ScratchIL = "warm\n", "scratch\n"
+			want = append(want, "base.c", "mutated.c", "il-warm.txt", "il-scratch.txt")
+		}
+		sub, err := WriteArtifacts(t.TempDir(), r, r.Source)
 		if err != nil {
-			t.Fatalf("missing artifact %s: %v", name, err)
+			t.Fatal(err)
 		}
-		if len(data) == 0 {
-			t.Errorf("artifact %s is empty", name)
+		for _, name := range want {
+			data, err := os.ReadFile(filepath.Join(sub, name))
+			if err != nil {
+				t.Fatalf("%v: missing artifact %s: %v", oracles, name, err)
+			}
+			if len(data) == 0 {
+				t.Errorf("%v: artifact %s is empty", oracles, name)
+			}
+		}
+		repro, _ := os.ReadFile(filepath.Join(sub, "repro.txt"))
+		const cmd = "go run ./cmd/rpfuzz -start 7 -seeds 1"
+		_, line, ok := strings.Cut(string(repro), cmd)
+		if !ok {
+			t.Fatalf("%v: repro.txt lacks the repro command:\n%s", oracles, repro)
+		}
+		line, _, _ = strings.Cut(line, "\n")
+		var got Oracles
+		if list, ok := strings.CutPrefix(line, " -oracles "); ok {
+			if got, err = ParseOracles(list); err != nil {
+				t.Fatalf("%v: repro -oracles %q: %v", oracles, list, err)
+			}
+		} else if line != "" {
+			t.Fatalf("%v: unexpected repro flags %q", oracles, line)
+		}
+		if got != oracles {
+			t.Errorf("repro command runs oracles %v, want %v", got, oracles)
 		}
 	}
-	repro, _ := os.ReadFile(filepath.Join(sub, "repro.txt"))
-	if !strings.Contains(string(repro), "rpfuzz -start 7 -seeds 1") {
-		t.Error("repro.txt lacks the repro command")
+}
+
+// TestFuzzOracles drives the Fuzz loop once per oracle on a clean
+// seed range: each run must report no divergence, account every seed,
+// and show a non-zero check tally for its oracle (an oracle that never
+// ran would pass vacuously).
+func TestFuzzOracles(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		start int64
+		seeds int64
+	}{
+		{"switch", 1, 10},
+		// Each (seed, config) pair is a full toolchain invocation —
+		// the broad sweep is rpfuzz's job.
+		{"native", 1, 3},
+		{"sanitize", 500, 10},
+		{"certify", 600, 10},
+		{"incremental", 1, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.name == "native" && testing.Short() {
+				t.Skip("native builds are toolchain invocations; skipped in -short")
+			}
+			oracle, err := ParseOracles(c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seen atomic.Int64
+			report, err := Fuzz(FuzzOptions{
+				Start: c.start, Seeds: c.seeds, Short: true, Oracles: oracle,
+				Reduce: true, CorpusDir: t.TempDir(),
+				Progress: func(int64, bool, Tally) { seen.Add(1) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(report.Failures) != 0 {
+				t.Fatalf("%s fuzz found divergences:\n%s", c.name, report.Failures[0].Divergence)
+			}
+			if seen.Load() != c.seeds || report.Seeds != c.seeds {
+				t.Fatalf("progress saw %d seeds, report says %d, want %d", seen.Load(), report.Seeds, c.seeds)
+			}
+			checks := int64(0)
+			for b := range oracleNames {
+				if oracle&(1<<b) != 0 {
+					checks = report.Checks[b]
+				} else if report.Checks[b] != 0 {
+					t.Errorf("oracle %s ran %d checks outside the set", oracleNames[b], report.Checks[b])
+				}
+			}
+			if checks == 0 {
+				t.Fatalf("%s oracle made no checks: %s", c.name, report.Tally)
+			}
+		})
+	}
+}
+
+// TestParseOracles is the table over every -oracles spelling: each
+// name, "all", duplicates, the empty list, and unknown names with the
+// canonical [oracle] diagnostic.
+func TestParseOracles(t *testing.T) {
+	const want = `(want switch, native, sanitize, certify, incremental, or all)`
+	cases := []struct {
+		spec    string
+		want    Oracles
+		wantErr string
+	}{
+		{spec: "", want: 0},
+		{spec: "switch", want: Switch},
+		{spec: "native", want: Native},
+		{spec: "sanitize", want: Sanitize},
+		{spec: "certify", want: Certify},
+		{spec: "incremental", want: Incremental},
+		{spec: "all", want: AllOracles},
+		{spec: "sanitize,switch", want: Switch | Sanitize},
+		{spec: " certify , native ", want: Native | Certify},
+		// Duplicates and overlaps with "all" collapse.
+		{spec: "sanitize,sanitize", want: Sanitize},
+		{spec: "all,native", want: AllOracles},
+		// Flat is the primary engine, not an oracle.
+		{spec: "flat", wantErr: `[oracle] unknown oracle "flat" ` + want},
+		{spec: "bogus", wantErr: `[oracle] unknown oracle "bogus" ` + want},
+		{spec: "switch,bogus", wantErr: `[oracle] unknown oracle "bogus" ` + want},
+		{spec: "switch,", wantErr: `[oracle] unknown oracle "" ` + want},
+		{spec: "Sanitize", wantErr: `[oracle] unknown oracle "Sanitize" ` + want},
+	}
+	for _, c := range cases {
+		got, err := ParseOracles(c.spec)
+		if c.wantErr != "" {
+			if err == nil {
+				t.Errorf("ParseOracles(%q) = %v, want error", c.spec, got)
+			} else if err.Error() != c.wantErr {
+				t.Errorf("ParseOracles(%q) error = %q, want %q", c.spec, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseOracles(%q): %v", c.spec, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("ParseOracles(%q) = %v, want %v", c.spec, got, c.want)
+		}
+		if back, err := ParseOracles(got.String()); err != nil || back != got {
+			t.Errorf("ParseOracles(%q.String()) = %v, %v; want %v", got, back, err, got)
+		}
 	}
 }

@@ -111,50 +111,3 @@ func TestEnginesAgreeOnBenchSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestBothEnginesFuzzMode exercises the FuzzOptions.BothEngines path
-// end to end: a clean seed range must stay clean with the engine
-// cross-check enabled.
-func TestBothEnginesFuzzMode(t *testing.T) {
-	report, err := Fuzz(FuzzOptions{Seeds: 10, Short: true, BothEngines: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Failures) != 0 {
-		t.Fatalf("both-engines fuzz found divergences:\n%s", report.Failures[0].Divergence)
-	}
-}
-
-// TestNativeEngineFuzzMode runs a small seed range with the native
-// backend in the engine matrix: every compilation is translated to
-// machine code and held to output/exit/error/count parity with the
-// flat engine. Kept to a few seeds — each (seed, config) pair is a
-// full toolchain invocation — the broad sweep is rpfuzz's job.
-func TestNativeEngineFuzzMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("native builds are toolchain invocations; skipped in -short")
-	}
-	report, err := Fuzz(FuzzOptions{Seeds: 3, Short: true, Engines: []interp.Engine{interp.EngineNative}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Failures) != 0 {
-		t.Fatalf("native-engine fuzz found divergences:\n%s", report.Failures[0].Divergence)
-	}
-}
-
-// TestSanitizeFuzzMode exercises FuzzOptions.Sanitize end to end: a
-// clean seed range must stay clean with the analysis-soundness
-// sanitizer armed as the third oracle. (The oracle's ability to catch
-// a real defect is proven by the seeded-corruption tests in
-// internal/interp; here we pin the absence of false positives on
-// honest compilations.)
-func TestSanitizeFuzzMode(t *testing.T) {
-	report, err := Fuzz(FuzzOptions{Start: 500, Seeds: 10, Short: true, Sanitize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Failures) != 0 {
-		t.Fatalf("sanitize fuzz found divergences:\n%s", report.Failures[0].Divergence)
-	}
-}

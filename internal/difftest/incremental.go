@@ -1,12 +1,13 @@
 package difftest
 
-// This file is the incremental-compilation oracle: the differential
-// gate for the analysis summary cache. Where difftest.Fuzz compares
-// configurations against each other on one program, the incremental
-// oracle compares one configuration against itself across an edit —
-// compile program A cold into a fresh cache.Store, compile program B
-// warm against that populated store, and demand the warm compile's
-// final IL be byte-identical to compiling B with no cache at all. Any
+// This file is the incremental-compilation oracle (the Incremental
+// member of Oracles): the differential gate for the analysis summary
+// cache. Where the cross-configuration diff compares configurations
+// against each other on one program, the incremental oracle compares
+// one configuration against itself across an edit — compile program
+// A cold into a fresh cache.Store, compile program B warm against
+// that populated store, and demand the warm compile's final IL be
+// byte-identical to compiling B with no cache at all. Any
 // byte of difference means a stale summary was replayed, which is a
 // miscompilation in waiting; the seed is archived as a reproducer.
 //
@@ -20,15 +21,12 @@ package difftest
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 
 	"regpromo/internal/analysis/cache"
-	"regpromo/internal/bench"
 	"regpromo/internal/driver"
 	"regpromo/internal/ir"
-	"regpromo/internal/obs"
 	"regpromo/internal/testgen"
 )
 
@@ -41,6 +39,9 @@ type IncrementalResult struct {
 	// Divergence lists every configuration/direction whose warm
 	// compile differed from scratch ("" when all were identical).
 	Divergence string
+	// Failed names the configurations whose warm compile differed in
+	// either direction.
+	Failed []string
 	// WarmIL and ScratchIL hold the first diverging IL pair, for the
 	// failure artifact.
 	WarmIL, ScratchIL string
@@ -68,6 +69,9 @@ func IncrementalSeed(seed int64, matrix []driver.NamedConfig) *IncrementalResult
 				continue
 			}
 			fmt.Fprintf(&sb, "%s/%s: %s\n", nc.Name, d.name, div)
+			if !slices.Contains(r.Failed, nc.Name) {
+				r.Failed = append(r.Failed, nc.Name)
+			}
 			if r.WarmIL == "" {
 				r.WarmIL, r.ScratchIL = warmIL, scratchIL
 			}
@@ -121,105 +125,4 @@ func incrementalOne(seed int64, nc driver.NamedConfig, cold, warm string) (strin
 			len(w), len(s), warmC.Analysis.SCCsCached), w, s
 	}
 	return "", "", ""
-}
-
-// IncrementalOptions configure an incremental-oracle fuzzing run.
-type IncrementalOptions struct {
-	// Start is the first seed; Seeds is how many consecutive seeds to
-	// test.
-	Start, Seeds int64
-	// Parallel bounds concurrent seeds (<=0 means one worker per CPU).
-	Parallel int
-	// Short trims the configuration matrix for smoke runs.
-	Short bool
-	// CorpusDir, when non-empty, receives a failure artifact per
-	// divergent seed.
-	CorpusDir string
-	// Progress, when non-nil, is called after each seed completes
-	// (from worker goroutines, possibly out of order).
-	Progress func(seed int64, diverged bool)
-}
-
-// IncrementalFailure is one divergent seed with its artifact location.
-type IncrementalFailure struct {
-	Seed       int64
-	Divergence string
-	// Dir is the corpus directory the artifact was written to (empty
-	// when no corpus was requested).
-	Dir string
-}
-
-// IncrementalReport summarizes an incremental-oracle run.
-type IncrementalReport struct {
-	Seeds    int64
-	Matrix   []driver.NamedConfig
-	Failures []IncrementalFailure
-}
-
-// FuzzIncremental runs the incremental oracle over Seeds consecutive
-// seeds on the shared bench worker pool and reports every divergence,
-// archived according to the options. As with Fuzz, the error return
-// is for infrastructure problems; divergences are data.
-func FuzzIncremental(opts IncrementalOptions) (*IncrementalReport, error) {
-	matrix := driver.DifferentialConfigurations(opts.Short)
-	report := &IncrementalReport{Seeds: opts.Seeds, Matrix: matrix}
-	fails, err := bench.ParallelMap(int(opts.Seeds), opts.Parallel, func(i int) (*IncrementalFailure, error) {
-		seed := opts.Start + int64(i)
-		r := IncrementalSeed(seed, matrix)
-		if reg := obs.Metrics(); reg != nil {
-			reg.Counter("difftest.incremental.seeds").Inc()
-			if r.Diverged() {
-				reg.Counter("difftest.incremental.divergences").Inc()
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress(seed, r.Diverged())
-		}
-		if !r.Diverged() {
-			return nil, nil
-		}
-		f := &IncrementalFailure{Seed: seed, Divergence: r.Divergence}
-		if opts.CorpusDir != "" {
-			dir, err := writeIncrementalArtifacts(opts.CorpusDir, r)
-			if err != nil {
-				return nil, err
-			}
-			f.Dir = dir
-		}
-		return f, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range fails {
-		if f != nil {
-			report.Failures = append(report.Failures, *f)
-		}
-	}
-	return report, nil
-}
-
-// writeIncrementalArtifacts archives a divergent seed under
-// dir/incr-seed<NNN>: both program variants, the first diverging
-// warm/scratch IL pair, and a repro command.
-func writeIncrementalArtifacts(dir string, r *IncrementalResult) (string, error) {
-	sub := filepath.Join(dir, fmt.Sprintf("incr-seed%d", r.Seed))
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		return "", err
-	}
-	var repro strings.Builder
-	fmt.Fprintf(&repro, "Incremental-compilation divergence on seed %d.\n\n%s\n", r.Seed, r.Divergence)
-	fmt.Fprintf(&repro, "Reproduce with:\n\n    go run ./cmd/rpfuzz -incremental -start %d -seeds 1\n", r.Seed)
-	for name, content := range map[string]string{
-		"base.c":         r.Base,
-		"mutated.c":      r.Mutated,
-		"il-warm.txt":    r.WarmIL,
-		"il-scratch.txt": r.ScratchIL,
-		"repro.txt":      repro.String(),
-	} {
-		if err := os.WriteFile(filepath.Join(sub, name), []byte(content), 0o644); err != nil {
-			return "", err
-		}
-	}
-	return sub, nil
 }

@@ -22,23 +22,3 @@ func TestIncrementalSeedsClean(t *testing.T) {
 		}
 	}
 }
-
-// TestFuzzIncrementalReportsClean drives the batch entry point the CLI
-// uses, checking seed accounting and the no-failure report shape.
-func TestFuzzIncrementalReportsClean(t *testing.T) {
-	var seen int
-	report, err := FuzzIncremental(IncrementalOptions{
-		Start: 1, Seeds: 4, Short: true,
-		CorpusDir: t.TempDir(),
-		Progress:  func(int64, bool) { seen++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != 4 || report.Seeds != 4 {
-		t.Fatalf("progress saw %d seeds, report says %d, want 4", seen, report.Seeds)
-	}
-	if len(report.Failures) != 0 {
-		t.Fatalf("unexpected failures: %+v", report.Failures)
-	}
-}

@@ -17,8 +17,7 @@ import (
 //   - "all": flat + switch + native
 //
 // The result names exactly the engines the specification asks for, in
-// first-mention order; consumers that need the flat engine as a
-// comparison reference (the differential tester) add it themselves.
+// first-mention order.
 // Unknown names are rejected with the canonical diagnostic format
 // (ir.Diag, check "engine") so every CLI entry point prints the same
 // line for the same typo.

@@ -8,10 +8,9 @@ import (
 )
 
 // TestParseEngines is the table over every engine-list spelling the
-// CLI accepts. Both list-valued flags (`rpbench -engine` and
-// `rpfuzz -engines`) route through ParseEngines, so one table covers
-// both entry points: names resolve in first-mention order, the "both"
-// and "all" shorthands expand, duplicates collapse, and an unknown
+// CLI accepts (`rpbench -engine`): names resolve in first-mention
+// order, the "both" and "all" shorthands expand, duplicates collapse,
+// and an unknown
 // name is rejected with the canonical [engine] diagnostic instead of
 // failing deep in execution.
 func TestParseEngines(t *testing.T) {
