@@ -27,10 +27,11 @@ import (
 
 // TestNoRegressionAgainstBaseline guards the benchmark trajectory:
 // when a recorded baseline exists (the newest BENCH_*.json in the repo
-// root, written by `rpbench -json`), the current dynamic total-ops for
-// every program/configuration cell must not regress more than 1%
-// against it. With no baseline recorded the test is skipped — run
-// `go run ./cmd/rpbench -json` to record one.
+// root, written by `rpbench -json`), a fresh report over the same
+// programs must pass the same gate as `rpbench -compare`: no dynamic
+// ops, loads, stores, promotions, spills, or register pressure
+// regressed more than 1%. With no baseline recorded the test is
+// skipped — run `go run ./cmd/rpbench -json` to record one.
 func TestNoRegressionAgainstBaseline(t *testing.T) {
 	baseline, path, err := bench.LatestBaseline(".")
 	if errors.Is(err, os.ErrNotExist) {
@@ -39,7 +40,7 @@ func TestNoRegressionAgainstBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("comparing against baseline %s (%s)", path, baseline.Timestamp)
+	t.Logf("comparing against baseline %s", path)
 
 	var programs []string
 	for _, p := range baseline.Programs {
@@ -49,65 +50,49 @@ func TestNoRegressionAgainstBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const tolerance = 1.01
-	for _, bp := range baseline.Programs {
-		cp, ok := current.Program(bp.Name)
-		if !ok {
-			t.Errorf("%s: in baseline but missing from current suite", bp.Name)
-			continue
-		}
-		for _, bc := range bp.Configs {
-			cc, ok := cp.Config(bc.Analysis, bc.Promote)
-			if !ok {
-				t.Errorf("%s/%s promote=%v: configuration missing from current run",
-					bp.Name, bc.Analysis, bc.Promote)
-				continue
-			}
-			if bc.Counts.Ops <= 0 {
-				continue
-			}
-			limit := float64(bc.Counts.Ops) * tolerance
-			if float64(cc.Counts.Ops) > limit {
-				t.Errorf("%s/%s promote=%v: dynamic total-ops regressed >1%%: baseline %d, now %d",
-					bp.Name, bc.Analysis, bc.Promote, bc.Counts.Ops, cc.Counts.Ops)
-			}
-		}
+	if len(current.Programs) != len(baseline.Programs) {
+		t.Fatalf("baseline has %d programs, current suite measured %d", len(baseline.Programs), len(current.Programs))
+	}
+	cr := bench.Compare(baseline, current, 1.0)
+	if regs := cr.Regressions(); len(regs) > 0 {
+		t.Errorf("regressed against %s:\n%s", path, cr.Format())
 	}
 }
 
 // reportFigure runs the measurement matrix once per benchmark
-// iteration and publishes each row's columns as metrics.
-func reportFigure(b *testing.B, metric bench.Metric) {
+// iteration and publishes each row of figure n as metrics.
+func reportFigure(b *testing.B, n int) {
 	b.ReportAllocs()
-	var fr *bench.FigureResult
+	var r *bench.Report
 	for i := 0; i < b.N; i++ {
 		var err error
-		fr, err = bench.RunFigures(bench.Options{})
+		r, err = bench.CollectReport(bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, row := range fr.Rows[metric] {
+	f, _ := r.Figure(n)
+	for _, row := range f.Rows {
 		key := row.Program + "/" + row.Analysis
 		b.ReportMetric(float64(row.Without), key+":without")
 		b.ReportMetric(float64(row.With), key+":with")
-		b.ReportMetric(row.PercentRemoved(), key+":%removed")
+		b.ReportMetric(row.PercentRemoved, key+":%removed")
 	}
 }
 
 // BenchmarkFigure5TotalOperations regenerates the paper's Figure 5.
 func BenchmarkFigure5TotalOperations(b *testing.B) {
-	reportFigure(b, bench.TotalOps)
+	reportFigure(b, 5)
 }
 
 // BenchmarkFigure6Stores regenerates the paper's Figure 6.
 func BenchmarkFigure6Stores(b *testing.B) {
-	reportFigure(b, bench.Stores)
+	reportFigure(b, 6)
 }
 
 // BenchmarkFigure7Loads regenerates the paper's Figure 7.
 func BenchmarkFigure7Loads(b *testing.B) {
-	reportFigure(b, bench.Loads)
+	reportFigure(b, 7)
 }
 
 // BenchmarkSection33PointerPromotion reproduces the §3.3 comparison:
@@ -115,31 +100,24 @@ func BenchmarkFigure7Loads(b *testing.B) {
 // program (fft should be the only significant success).
 func BenchmarkSection33PointerPromotion(b *testing.B) {
 	b.ReportAllocs()
-	var scalar, ptr *bench.FigureResult
+	var scalar, ptr *bench.Report
 	for i := 0; i < b.N; i++ {
 		var err error
-		scalar, err = bench.RunFigures(bench.Options{})
+		scalar, err = bench.CollectReport(bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ptr, err = bench.RunFigures(bench.Options{PointerPromotion: true})
+		ptr, err = bench.CollectReport(bench.Options{PointerPromotion: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	index := func(rows []bench.Row) map[string]bench.Row {
-		out := map[string]bench.Row{}
-		for _, r := range rows {
-			if r.Analysis == "pointer" {
-				out[r.Program] = r
-			}
+	s, _ := scalar.Figure(5)
+	p, _ := ptr.Figure(5)
+	for i, sr := range s.Rows {
+		if sr.Analysis == "pointer" {
+			b.ReportMetric(float64(sr.With-p.Rows[i].With), sr.Program+":extra-ops-removed")
 		}
-		return out
-	}
-	s := index(scalar.Rows[bench.TotalOps])
-	p := index(ptr.Rows[bench.TotalOps])
-	for name, sr := range s {
-		b.ReportMetric(float64(sr.With-p[name].With), name+":extra-ops-removed")
 	}
 }
 

@@ -18,33 +18,37 @@
 //	                         adds over scalar promotion (§3.3 study)
 //	rpbench -programs a,b,c  restrict to named programs
 //	-k N                     physical register count (default 32)
-//	-engine E                execution engine(s): flat, switch, native,
-//	                         both, all, or a comma list (default flat;
-//	                         counts are engine-independent, only wall
-//	                         time changes). With -json, each engine gets
-//	                         its own timed execution cell per config in
-//	                         one report, and a native-over-flat speedup
-//	                         summary prints when both are listed; table
-//	                         output uses the first engine
+//	-certify                 re-prove every promotion certificate with
+//	                         the independent verifier during each
+//	                         measurement compile (tables and -json)
+//	-engine E                engines every measurement runs on: flat,
+//	                         switch, native, both, all, or a comma list
+//	                         (default flat). Each engine runs once and
+//	                         all must agree on counts and output, so
+//	                         the list is an engine-parity check: the
+//	                         tables and the report are the same for any
+//	                         list (wall time is perfbench's job)
 //	-native-backend B        native artifact execution: auto (probe
 //	                         plugin, fall back to subprocess), plugin,
 //	                         or subprocess
 //	-markdown                emit Markdown tables (for EXPERIMENTS.md)
-//	rpbench -json            run the observed matrix and write the full
-//	                         machine-readable report — dynamic counts
-//	                         for all four configurations plus per-pass
-//	                         wall time and IR deltas per program — to a
-//	                         versioned BENCH_<timestamp>.json file
+//	rpbench -json            write the machine-readable report — dynamic
+//	                         counts, promotions, spills, and static
+//	                         register pressure for all four
+//	                         configurations per program, plus the
+//	                         figure rows — to BENCH_<timestamp>.json.
+//	                         The report holds no timing, so two runs of
+//	                         the same code write byte-identical files
 //	-out path                destination for -json ("-" = stdout)
 //	rpbench -compare A[,B]   diff two benchmark reports and print the
 //	                         regression/improvement table: with one
 //	                         path, A is compared against the newest
 //	                         other BENCH_*.json baseline; with two,
 //	                         B is compared against A. Exits 1 when a
-//	                         deterministic metric (dynamic ops, loads,
-//	                         stores, promotions, spills) regressed past
-//	                         -threshold; wall-time and process-metric
-//	                         deltas are reported but never gate.
+//	                         metric (dynamic ops, loads, stores,
+//	                         promotions, spills, register pressure)
+//	                         regressed past -threshold. Both reports
+//	                         must be at the current schema.
 //	rpbench -trend           print the accumulated BENCH_*.json history
 //	                         (one line per report with headline totals)
 //	                         and gate on the two newest reports
@@ -55,12 +59,11 @@
 //	                         it cold with a fresh analysis cache, then
 //	                         recompile a one-function-edited variant
 //	                         warm against the same cache, and report
-//	                         cold vs warm analysis time, solved vs
-//	                         cached SCC counts, and whether the warm IL
-//	                         is byte-identical to an uncached compile.
-//	                         With -json the scale cell is written as a
-//	                         schema-4 report (gated by -compare like any
-//	                         other report).
+//	                         solved vs cached SCC counts and whether the
+//	                         warm IL is byte-identical to an uncached
+//	                         compile. With -json the scale cell is
+//	                         written as a report (gated by -compare
+//	                         like any other report).
 //	-scale-funcs N           scale-tier module size in helper functions
 //	                         (default 1000; CI smoke uses less)
 //	-scale-seed S            scale-tier generation seed (default 1)
@@ -73,6 +76,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -80,7 +84,7 @@ import (
 	"regpromo/internal/bench"
 	"regpromo/internal/driver"
 	"regpromo/internal/native"
-	"regpromo/internal/obs"
+	"regpromo/internal/par"
 )
 
 func main() {
@@ -91,10 +95,10 @@ func main() {
 	k := flag.Int("k", 0, "physical register count (0 = default)")
 	certify := flag.Bool("certify", false, "re-prove promotion certificates during every measurement compile")
 	markdown := flag.Bool("markdown", false, "emit Markdown tables")
-	jsonOut := flag.Bool("json", false, "write the observed benchmark report as BENCH_<timestamp>.json")
+	jsonOut := flag.Bool("json", false, "write the benchmark report as BENCH_<timestamp>.json")
 	out := flag.String("out", "", "output path for -json (default BENCH_<timestamp>.json, \"-\" = stdout)")
 	parallel := flag.Int("parallel", 1, "programs measured concurrently (0 = one per CPU, 1 = serial)")
-	engineName := flag.String("engine", "flat", "execution engine(s): flat, switch, native, both, all, or a comma list")
+	engineName := flag.String("engine", "flat", "engines held to identical results: flat, switch, native, both, all, or a comma list")
 	nativeBackend := flag.String("native-backend", "", `native artifact execution: "auto", "plugin", or "subprocess"`)
 	compare := flag.String("compare", "", "diff reports: old.json,new.json (or one path vs the previous baseline)")
 	trend := flag.Bool("trend", false, "print the BENCH_*.json history and gate on the newest pair")
@@ -152,63 +156,57 @@ func main() {
 		native.SetDefaultBackend(b)
 	}
 
-	opts := bench.Options{K: *k, Certify: *certify, Parallel: *parallel, Engine: engines[0], Engines: engines}
+	opts := bench.Options{K: *k, Certify: *certify, Parallel: *parallel, Engines: engines}
 	if *parallel == 0 {
-		opts.Parallel = bench.DefaultWorkers()
+		opts.Parallel = par.DefaultWorkers()
 	}
 	if *programs != "" {
 		opts.Programs = strings.Split(*programs, ",")
 	}
 
-	if *jsonOut {
+	switch {
+	case *jsonOut:
 		opts.PointerPromotion = *pointer
-		if err := runJSON(opts, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "rpbench:", err)
-			os.Exit(1)
+		err = runJSON(opts, *out)
+	case *pointer:
+		err = runPointerStudy(os.Stdout, opts, *markdown)
+	default:
+		if *figure != 0 && (*figure < 5 || *figure > 8) {
+			fmt.Fprintln(os.Stderr, "rpbench: -figure must be 5, 6, 7, or 8 (weighted cycles)")
+			os.Exit(2)
 		}
-		return
+		err = runFigures(os.Stdout, opts, *figure, *markdown)
 	}
-
-	if *pointer {
-		if err := runPointerStudy(opts, *markdown); err != nil {
-			fmt.Fprintln(os.Stderr, "rpbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	fr, err := bench.RunFigures(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rpbench:", err)
 		os.Exit(1)
 	}
-	// Figures 5, 6, and 7 are the paper's; Figure 8 is this
-	// reproduction's weighted-cycles extension (§5's latency remark,
-	// quantified).
-	metrics := map[int]bench.Metric{5: bench.TotalOps, 6: bench.Stores, 7: bench.Loads, 8: bench.WeightedCycles}
-	if *figure != 0 {
-		m, ok := metrics[*figure]
-		if !ok {
-			fmt.Fprintln(os.Stderr, "rpbench: -figure must be 5, 6, 7, or 8 (weighted cycles)")
-			os.Exit(2)
-		}
-		printTable(*markdown, *figure, m, fr.Rows[m])
-		return
-	}
-	for _, f := range []int{5, 6, 7, 8} {
-		m := metrics[f]
-		printTable(*markdown, f, m, fr.Rows[m])
-		fmt.Println()
-	}
 }
 
-// runJSON runs the observed measurement matrix and writes the
-// versioned report. Timestamped filenames sort chronologically, so the
-// newest file is the baseline bench.LatestBaseline picks up. Metrics
-// are enabled so the report carries the process-wide snapshot
-// (schema 3).
+// runFigures measures the matrix and prints Figures 5, 6, and 7 —
+// the paper's — and Figure 8, this reproduction's weighted-cycles
+// extension (§5's latency remark, quantified); figure != 0 prints only
+// that one.
+func runFigures(w io.Writer, opts bench.Options, figure int, markdown bool) error {
+	r, err := bench.CollectReport(opts)
+	if err != nil {
+		return err
+	}
+	if f, ok := r.Figure(figure); ok {
+		printTable(w, markdown, f)
+		return nil
+	}
+	for i := range r.Figures {
+		printTable(w, markdown, &r.Figures[i])
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// runJSON runs the measurement matrix and writes the versioned
+// report. Timestamped filenames sort chronologically, so the newest
+// file is the baseline bench.LatestBaseline picks up.
 func runJSON(opts bench.Options, out string) error {
-	obs.EnableMetrics()
 	r, err := bench.CollectReport(opts)
 	if err != nil {
 		return err
@@ -221,61 +219,13 @@ func runJSON(opts bench.Options, out string) error {
 		fmt.Printf("wrote %s (%d programs, Figures 5, 6, and 7 plus the Figure 8 extension, schema %s)\n",
 			path, len(r.Programs), r.Schema)
 	}
-	printNativeSpeedup(r)
 	return nil
 }
 
-// printNativeSpeedup summarizes native-over-flat throughput per
-// program when a multi-engine run measured both. Counts are identical
-// across engines by the parity contract, so the dynamic-ops/sec ratio
-// is the wall-time ratio; ops and durations are summed over the
-// program's four configuration cells.
-func printNativeSpeedup(r *bench.Report) {
-	type agg struct{ ops, flatNS, nativeNS int64 }
-	var rows []struct {
-		name string
-		agg
-	}
-	for i := range r.Programs {
-		p := &r.Programs[i]
-		var a agg
-		for j := range p.Configs {
-			c := &p.Configs[j]
-			fe, okF := c.ExecFor("flat")
-			ne, okN := c.ExecFor("native")
-			if !okF || !okN {
-				a = agg{}
-				break
-			}
-			a.ops += c.Counts.Ops
-			a.flatNS += fe.DurationNS
-			a.nativeNS += ne.DurationNS
-		}
-		if a.flatNS > 0 && a.nativeNS > 0 {
-			rows = append(rows, struct {
-				name string
-				agg
-			}{p.Name, a})
-		}
-	}
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Println("\nnative vs flat throughput (dynamic ops/sec, summed over configs):")
-	for _, row := range rows {
-		flatRate := float64(row.ops) / (float64(row.flatNS) / 1e9)
-		nativeRate := float64(row.ops) / (float64(row.nativeNS) / 1e9)
-		fmt.Printf("  %-11s flat %10.1f Mops/s   native %10.1f Mops/s   speedup %6.1fx\n",
-			row.name, flatRate/1e6, nativeRate/1e6, float64(row.flatNS)/float64(row.nativeNS))
-	}
-}
-
-// writeReport stamps and writes a report to out ("-" = stdout, "" =
-// a fresh BENCH_<timestamp>.json). It returns the path written, or ""
-// for stdout.
+// writeReport writes a report to out ("-" = stdout, "" = a fresh
+// BENCH_<timestamp>.json). It returns the path written, or "" for
+// stdout.
 func writeReport(r *bench.Report, out string) (string, error) {
-	now := time.Now().UTC()
-	r.Timestamp = now.Format(time.RFC3339)
 	if out == "-" {
 		return "", r.WriteJSON(os.Stdout)
 	}
@@ -293,7 +243,7 @@ func writeReport(r *bench.Report, out string) (string, error) {
 		// concurrent runs cannot silently overwrite each other. The _N
 		// suffix sorts after the bare name, keeping LatestBaseline's
 		// newest-by-name ordering correct.
-		base := "BENCH_" + now.Format("20060102T150405")
+		base := "BENCH_" + time.Now().UTC().Format("20060102T150405")
 		for n := 0; ; n++ {
 			out = base + ".json"
 			if n > 0 {
@@ -320,9 +270,8 @@ func writeReport(r *bench.Report, out string) (string, error) {
 
 // runScaleTier implements -tier scale: run the incremental-analysis
 // scale tier and either print the human summary or write the scale
-// cell as a schema-4 report.
+// cell as a report.
 func runScaleTier(o bench.ScaleOptions, jsonOut bool, out string) error {
-	obs.EnableMetrics()
 	sr, err := bench.RunScale(o)
 	if err != nil {
 		return err
@@ -334,9 +283,6 @@ func runScaleTier(o bench.ScaleOptions, jsonOut bool, out string) error {
 	}
 	if jsonOut {
 		r := &bench.Report{Schema: bench.SchemaVersion, MemLatency: bench.MemLatency, Scale: sr}
-		if reg := obs.Metrics(); reg != nil {
-			r.Metrics = reg.Snapshot()
-		}
 		path, err := writeReport(r, out)
 		if err != nil {
 			return err
@@ -348,14 +294,9 @@ func runScaleTier(o bench.ScaleOptions, jsonOut bool, out string) error {
 	}
 	fmt.Printf("scale tier: %d functions, %d lines, %d callgraph SCCs (seed %d, edit %s)\n",
 		sr.Functions, sr.Lines, sr.SCCs, sr.Seed, sr.EditedFunc)
-	fmt.Printf("  cold: analysis %10.3fms  compile %10.3fms  sccs solved %5d  cached %5d\n",
-		float64(sr.Cold.AnalysisNS)/1e6, float64(sr.Cold.CompileNS)/1e6,
-		sr.Cold.SCCsSolved, sr.Cold.SCCsCached)
-	fmt.Printf("  warm: analysis %10.3fms  compile %10.3fms  sccs solved %5d  cached %5d\n",
-		float64(sr.Warm.AnalysisNS)/1e6, float64(sr.Warm.CompileNS)/1e6,
-		sr.Warm.SCCsSolved, sr.Warm.SCCsCached)
-	fmt.Printf("  warm re-analysis speedup: %.1fx; warm IL identical to uncached compile: %v\n",
-		sr.Speedup, sr.Identical)
+	fmt.Printf("  cold: sccs solved %5d  cached %5d\n", sr.Cold.SCCsSolved, sr.Cold.SCCsCached)
+	fmt.Printf("  warm: sccs solved %5d  cached %5d\n", sr.Warm.SCCsSolved, sr.Warm.SCCsCached)
+	fmt.Printf("  warm IL identical to uncached compile: %v\n", sr.Identical)
 	return nil
 }
 
@@ -414,70 +355,59 @@ func runTrend(threshold float64) {
 	}
 }
 
-func printTable(markdown bool, figure int, m bench.Metric, rows []bench.Row) {
+func printTable(w io.Writer, markdown bool, f *bench.FigureReport) {
 	if !markdown {
-		fmt.Printf("Figure %d: ", figure)
-		fmt.Print(bench.FormatTable(m, rows))
+		fmt.Fprintf(w, "Figure %d: ", f.Figure)
+		fmt.Fprint(w, bench.FormatTable(f))
 		return
 	}
-	fmt.Printf("### Figure %d: %s\n\n", figure, m)
-	fmt.Println("| Program | analysis | without | with | difference | % removed |")
-	fmt.Println("|---|---|---:|---:|---:|---:|")
-	for _, r := range rows {
-		fmt.Printf("| %s | %s | %d | %d | %d | %.2f |\n",
-			r.Program, r.Analysis, r.Without, r.With, r.Difference(), r.PercentRemoved())
+	fmt.Fprintf(w, "### Figure %d: %s\n\n", f.Figure, f.Metric)
+	fmt.Fprintln(w, "| Program | analysis | without | with | difference | % removed |")
+	fmt.Fprintln(w, "|---|---|---:|---:|---:|---:|")
+	for _, r := range f.Rows {
+		fmt.Fprintf(w, "| %s | %s | %d | %d | %d | %.2f |\n",
+			r.Program, r.Analysis, r.Without, r.With, r.Difference, r.PercentRemoved)
 	}
 }
 
 // runPointerStudy reproduces the §3.3 comparison: how much more the
 // pointer-based promoter removes beyond scalar promotion.
-func runPointerStudy(opts bench.Options, markdown bool) error {
-	scalar, err := bench.RunFigures(opts)
+func runPointerStudy(w io.Writer, opts bench.Options, markdown bool) error {
+	scalar, err := bench.CollectReport(opts)
 	if err != nil {
 		return err
 	}
 	withPtr := opts
 	withPtr.PointerPromotion = true
-	ptr, err := bench.RunFigures(withPtr)
+	ptr, err := bench.CollectReport(withPtr)
 	if err != nil {
 		return err
 	}
 	if markdown {
-		fmt.Println("### §3.3 study: pointer-based promotion over scalar promotion (points-to analysis)")
-		fmt.Println()
-		fmt.Println("| Program | metric | scalar promo | +pointer promo | extra removed |")
-		fmt.Println("|---|---|---:|---:|---:|")
+		fmt.Fprintln(w, "### §3.3 study: pointer-based promotion over scalar promotion (points-to analysis)")
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "| Program | metric | scalar promo | +pointer promo | extra removed |")
+		fmt.Fprintln(w, "|---|---|---:|---:|---:|")
 	} else {
-		fmt.Println("§3.3 study: pointer-based promotion over scalar promotion (points-to analysis)")
-		fmt.Printf("%-11s %-8s %14s %14s %14s\n", "Program", "metric", "scalar", "+pointer", "extra removed")
+		fmt.Fprintln(w, "§3.3 study: pointer-based promotion over scalar promotion (points-to analysis)")
+		fmt.Fprintf(w, "%-11s %-8s %14s %14s %14s\n", "Program", "metric", "scalar", "+pointer", "extra removed")
 	}
-	for _, metric := range []bench.Metric{bench.TotalOps, bench.Stores, bench.Loads} {
-		ms := indexRows(scalar.Rows[metric])
-		mp := indexRows(ptr.Rows[metric])
-		for _, r := range scalar.Rows[metric] {
-			if r.Analysis != "pointer" {
+	// Figures 5, 6, and 7; the two reports list their rows in the
+	// same order.
+	for i := range scalar.Figures[:3] {
+		fs, fp := &scalar.Figures[i], &ptr.Figures[i]
+		for j, s := range fs.Rows {
+			if s.Analysis != "pointer" {
 				continue
 			}
-			key := r.Program
-			s := ms[key]
-			p := mp[key]
+			p := fp.Rows[j]
 			extra := s.With - p.With
 			if markdown {
-				fmt.Printf("| %s | %s | %d | %d | %d |\n", key, metric, s.With, p.With, extra)
+				fmt.Fprintf(w, "| %s | %s | %d | %d | %d |\n", s.Program, fs.Metric, s.With, p.With, extra)
 			} else {
-				fmt.Printf("%-11s %-8s %14d %14d %14d\n", key, metric, s.With, p.With, extra)
+				fmt.Fprintf(w, "%-11s %-8s %14d %14d %14d\n", s.Program, fs.Metric, s.With, p.With, extra)
 			}
 		}
 	}
 	return nil
-}
-
-func indexRows(rows []bench.Row) map[string]bench.Row {
-	out := map[string]bench.Row{}
-	for _, r := range rows {
-		if r.Analysis == "pointer" {
-			out[r.Program] = r
-		}
-	}
-	return out
 }

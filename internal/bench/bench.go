@@ -10,12 +10,10 @@ import (
 	"embed"
 	"fmt"
 	"strings"
-	"time"
 
 	"regpromo/internal/analysis/certify"
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
-	"regpromo/internal/obs"
 )
 
 //go:embed programs/*.c
@@ -77,110 +75,37 @@ type Measurement struct {
 	// Pressure is the static register-pressure report per promotion
 	// site (empty when nothing was promoted); see certify.Pressure.
 	Pressure []certify.Pressure
-
-	// Exec records how the run happened: which execution engine, a
-	// shared or from-scratch front end, and the execution wall time.
-	// In a multi-engine measurement it is the first engine's event;
-	// Execs carries the full list.
-	Exec obs.ExecEvent
-
-	// Execs is the per-engine execution record, one event per engine
-	// in the order requested. Single-engine measurements have exactly
-	// one entry (aliased by Exec).
-	Execs []obs.ExecEvent
-
-	// Passes is the per-pass telemetry (wall time, IR deltas, pass
-	// stats) recorded when the measurement was observed; nil for
-	// plain Measure calls.
-	Passes []*obs.PassEvent
 }
 
 // Measure compiles p under cfg from source and executes it on the
-// default (flat) engine. The measurement matrix (RunFigures,
-// CollectReport) does not go through here: it parses each program once
-// and forks the per-configuration pipelines from the shared artifact.
+// default (flat) engine. The measurement matrix (CollectReport) does
+// not go through here: it parses each program once and forks the
+// per-configuration pipelines from the shared artifact.
 func Measure(p Program, cfg driver.Config) (*Measurement, error) {
-	return measureWith(p, cfg, nil)
-}
-
-// MeasureObserved is Measure with pass-manager telemetry: the
-// returned measurement carries the full per-pass event stream.
-func MeasureObserved(p Program, cfg driver.Config) (*Measurement, error) {
-	return measureWith(p, cfg, &obs.Pipeline{})
-}
-
-func measureWith(p Program, cfg driver.Config, pipe *obs.Pipeline) (*Measurement, error) {
-	c, err := driver.Compile(p.Name+".c", Source(p), cfg, pipe)
+	c, err := driver.CompileSource(p.Name+".c", Source(p), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	return execute(p, c, []interp.Engine{interp.EngineFlat}, false, pipe)
+	return execute(p, c, []interp.Engine{interp.EngineFlat})
 }
 
-// measureShared forks cfg's pipeline from the program's parsed
-// artifact and executes the result under engine. pipe may be nil.
-func measureShared(p Program, fe *driver.Frontend, cfg driver.Config, engine interp.Engine, pipe *obs.Pipeline) (*Measurement, error) {
-	return measureSharedEngines(p, fe, cfg, []interp.Engine{engine}, pipe)
-}
-
-// measureSharedEngines is measureShared over an engine list: one
-// compilation, executed once per engine, with the engines held to
-// identical counts, output, and exit status (a disagreement fails the
-// measurement — it would mean the parity contract the differential
-// tests enforce has been broken on a real workload).
-func measureSharedEngines(p Program, fe *driver.Frontend, cfg driver.Config, engines []interp.Engine, pipe *obs.Pipeline) (*Measurement, error) {
-	c, err := fe.Compile(cfg, pipe)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.Name, err)
-	}
-	return execute(p, c, engines, true, pipe)
-}
-
-// frontend parses a suite member once for compile-once sharing.
-func frontend(p Program) (*driver.Frontend, error) {
-	fe, err := driver.ParseSource(p.Name+".c", Source(p))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.Name, err)
-	}
-	return fe, nil
-}
-
-// execute runs a compiled program on each requested engine and
-// packages the measurement. Engine setup cost — flat-code lowering,
-// the native toolchain build — happens before the run timer starts,
-// so the per-engine wall times compare pure execution. The first
-// engine's counts and output define the measurement; every further
-// engine must reproduce them exactly.
-func execute(p Program, c *driver.Compilation, engines []interp.Engine, reused bool, pipe *obs.Pipeline) (*Measurement, error) {
+// execute runs a compiled program once on each requested engine and
+// packages the measurement. The first engine's counts and output
+// define the measurement; every further engine must reproduce them
+// exactly (a disagreement fails the measurement — it would mean the
+// parity contract the differential tests enforce has been broken on a
+// real workload).
+func execute(p Program, c *driver.Compilation, engines []interp.Engine) (*Measurement, error) {
 	m := &Measurement{
 		Promote:  c.Promote.ScalarPromotions + c.Promote.PointerPromotions,
 		Spilled:  c.Alloc.Spilled,
 		Pressure: c.Pressure(),
 	}
 	for i, engine := range engines {
-		opts := interp.Options{MaxSteps: 1 << 33, Engine: engine}
-		if err := c.PrepareEngine(opts); err != nil {
+		res, err := c.Execute(interp.Options{MaxSteps: 1 << 33, Engine: engine})
+		if err != nil {
 			return nil, fmt.Errorf("%s: %s engine: %w", p.Name, engine, err)
 		}
-		// One untimed warmup run per engine, so the timed run measures
-		// steady-state execution for every engine alike — a freshly
-		// loaded native plugin otherwise pays its page-in and first-touch
-		// costs inside the timed window, which swamps short programs.
-		if _, err := c.Execute(opts); err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		sp := pipe.StartSpan("execute", "interp", 0).
-			Label("program", p.Name).Label("engine", engine.String())
-		start := time.Now()
-		res, err := c.Execute(opts)
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		sp.Arg("ops", res.Counts.Ops).
-			Arg("loads", res.Counts.Loads).
-			Arg("stores", res.Counts.Stores).
-			End()
 		if i == 0 {
 			m.Counts = res.Counts
 			m.Output = res.Output
@@ -188,15 +113,6 @@ func execute(p Program, c *driver.Compilation, engines []interp.Engine, reused b
 			return nil, fmt.Errorf("%s: engine parity broken: %s counts=%+v output %d bytes, %s counts=%+v output %d bytes",
 				p.Name, engines[0], m.Counts, len(m.Output), engine, res.Counts, len(res.Output))
 		}
-		m.Execs = append(m.Execs, obs.ExecEvent{
-			Engine:         engine.String(),
-			FrontendReused: reused,
-			DurationNS:     time.Since(start).Nanoseconds(),
-		})
-	}
-	m.Exec = m.Execs[0]
-	if pipe != nil {
-		m.Passes = pipe.Events
 	}
 	return m, nil
 }
@@ -250,26 +166,6 @@ func (m Metric) pick(c interp.Counts) int64 {
 	}
 }
 
-// Row is one (program, analysis) line of a results table.
-type Row struct {
-	Program  string
-	Analysis string
-	Without  int64
-	With     int64
-}
-
-// Difference is Without-With (positive means promotion removed
-// operations).
-func (r Row) Difference() int64 { return r.Without - r.With }
-
-// PercentRemoved matches the paper's "% removed" column.
-func (r Row) PercentRemoved() float64 {
-	if r.Without == 0 {
-		return 0
-	}
-	return 100 * float64(r.Difference()) / float64(r.Without)
-}
-
 // Options tweak the measurement matrix.
 type Options struct {
 	// PointerPromotion enables §3.3 promotion in the "with" columns
@@ -283,15 +179,10 @@ type Options struct {
 	// independent region-soundness verifier during each measurement's
 	// compile; a refuted certificate fails the measurement.
 	Certify bool
-	// Engine selects the execution engine for the measurement runs
-	// (zero value = the flat engine). Counts are engine-independent —
-	// the engines differential test holds them to byte equality — so
-	// this only changes measurement wall time.
-	Engine interp.Engine
-	// Engines, when non-empty, runs every measurement on each listed
-	// engine (overriding Engine): one report cell records a timed
-	// execution per engine, all held to identical counts and output,
-	// so throughput ratios (e.g. native over flat) land in one report.
+	// Engines lists the execution engines every measurement runs on
+	// (empty = the flat engine alone). Each engine runs once and all
+	// are held to identical counts and output, so the list only adds
+	// an engine-parity check: the report is the same for any list.
 	Engines []interp.Engine
 	// Parallel bounds how many programs are measured concurrently:
 	// 1 (or less) measures serially, 0 is treated as 1, and larger
@@ -301,13 +192,12 @@ type Options struct {
 	Parallel int
 }
 
-// engineList resolves the effective engine list: Engines verbatim
-// when set, else the single Engine.
+// engineList resolves the effective engine list.
 func (o Options) engineList() []interp.Engine {
 	if len(o.Engines) > 0 {
 		return o.Engines
 	}
-	return []interp.Engine{o.Engine}
+	return []interp.Engine{interp.EngineFlat}
 }
 
 // workers normalizes Options.Parallel for ParallelMap: the harness
@@ -337,116 +227,15 @@ func (o Options) selected() []Program {
 	return ps
 }
 
-// FigureResult holds every row of one figure for all three metrics
-// (the three figures share the same measurement runs).
-type FigureResult struct {
-	Rows map[Metric][]Row
-	// Promotions and Spills index diagnostics by "program/analysis".
-	Promotions map[string]int
-	Spills     map[string]int
-}
-
-// programFigures is one program's slice of the measurement matrix.
-type programFigures struct {
-	rows       map[Metric][]Row
-	promotions map[string]int
-	spills     map[string]int
-}
-
-// measureProgram runs one suite member under the four-configuration
-// matrix and cross-checks the outputs: a configuration that changes a
-// program's observable output indicates a miscompilation and fails
-// the measurement. The front end runs once; every configuration forks
-// its pipeline from the shared artifact.
-func measureProgram(p Program, opts Options) (*programFigures, error) {
-	pf := &programFigures{
-		rows:       map[Metric][]Row{},
-		promotions: map[string]int{},
-		spills:     map[string]int{},
-	}
-	fe, err := frontend(p)
-	if err != nil {
-		return nil, err
-	}
-	var outputs []string
-	for _, analysis := range []driver.Analysis{driver.ModRef, driver.PointsTo} {
-		base := driver.Config{Analysis: analysis, K: opts.K}
-		with := base
-		with.Promote = true
-		with.PointerPromote = opts.PointerPromotion
-
-		m0, err := measureShared(p, fe, base, opts.engineList()[0], nil)
-		if err != nil {
-			return nil, err
-		}
-		m1, err := measureShared(p, fe, with, opts.engineList()[0], nil)
-		if err != nil {
-			return nil, err
-		}
-		outputs = append(outputs, m0.Output, m1.Output)
-		key := p.Name + "/" + analysis.String()
-		pf.promotions[key] = m1.Promote
-		pf.spills[key] = m1.Spilled
-		for _, metric := range []Metric{TotalOps, Stores, Loads, WeightedCycles} {
-			pf.rows[metric] = append(pf.rows[metric], Row{
-				Program:  p.Name,
-				Analysis: analysis.String(),
-				Without:  metric.pick(m0.Counts),
-				With:     metric.pick(m1.Counts),
-			})
-		}
-	}
-	for _, o := range outputs[1:] {
-		if o != outputs[0] {
-			return nil, fmt.Errorf("%s: configurations disagree on program output", p.Name)
-		}
-	}
-	return pf, nil
-}
-
-// RunFigures executes the full measurement matrix: each program is
-// compiled and run four times ({modref, pointer} × {without, with
-// promotion}), and rows for Figures 5, 6, and 7 (plus the Figure 8
-// weighted-cycles extension) are assembled from the same runs.
-// Options.Parallel spreads the programs over a worker pool; rows are
-// merged back in suite order, so parallel and serial runs produce
-// identical results.
-func RunFigures(opts Options) (*FigureResult, error) {
-	programs := opts.selected()
-	parts, err := ParallelMap(len(programs), opts.workers(), func(i int) (*programFigures, error) {
-		return measureProgram(programs[i], opts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	fr := &FigureResult{
-		Rows:       map[Metric][]Row{},
-		Promotions: map[string]int{},
-		Spills:     map[string]int{},
-	}
-	for _, pf := range parts {
-		for metric, rows := range pf.rows {
-			fr.Rows[metric] = append(fr.Rows[metric], rows...)
-		}
-		for k, v := range pf.promotions {
-			fr.Promotions[k] = v
-		}
-		for k, v := range pf.spills {
-			fr.Spills[k] = v
-		}
-	}
-	return fr, nil
-}
-
 // FormatTable renders one figure in the paper's layout.
-func FormatTable(metric Metric, rows []Row) string {
+func FormatTable(f *FigureReport) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\n", metric)
+	fmt.Fprintf(&sb, "%s\n", f.Metric)
 	fmt.Fprintf(&sb, "%-11s %-8s %12s %12s %12s %10s\n",
 		"Program", "analysis", "without", "with", "difference", "% removed")
-	for _, r := range rows {
+	for _, r := range f.Rows {
 		fmt.Fprintf(&sb, "%-11s %-8s %12d %12d %12d %10.2f\n",
-			r.Program, r.Analysis, r.Without, r.With, r.Difference(), r.PercentRemoved())
+			r.Program, r.Analysis, r.Without, r.With, r.Difference, r.PercentRemoved)
 	}
 	return sb.String()
 }

@@ -190,18 +190,22 @@ func TestPointerPromotionStudy(t *testing.T) {
 	}
 }
 
-// TestRunFiguresEndToEnd exercises the figure harness on a subset.
-func TestRunFiguresEndToEnd(t *testing.T) {
-	fr, err := RunFigures(Options{Programs: []string{"mlink", "tsp"}})
+// TestFigureTablesEndToEnd renders the figure tables from a report
+// over a subset.
+func TestFigureTablesEndToEnd(t *testing.T) {
+	r, err := CollectReport(Options{Programs: []string{"mlink", "tsp"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Metric{TotalOps, Stores, Loads} {
-		rows := fr.Rows[m]
-		if len(rows) != 4 { // 2 programs × 2 analyses
-			t.Fatalf("%s: got %d rows", m, len(rows))
+	for _, n := range []int{5, 6, 7} {
+		f, ok := r.Figure(n)
+		if !ok {
+			t.Fatalf("figure %d missing", n)
 		}
-		table := FormatTable(m, rows)
+		if len(f.Rows) != 4 { // 2 programs × 2 analyses
+			t.Fatalf("%s: got %d rows", f.Metric, len(f.Rows))
+		}
+		table := FormatTable(f)
 		if !strings.Contains(table, "mlink") || !strings.Contains(table, "% removed") {
 			t.Fatalf("bad table:\n%s", table)
 		}

@@ -7,50 +7,36 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"regpromo/internal/analysis/certify"
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
-	"regpromo/internal/obs"
+	"regpromo/internal/par"
 )
 
 // SchemaVersion identifies the BENCH_*.json layout. Bump it when the
-// report shape changes incompatibly. regpromo-bench/2 added the
-// per-stage compile wall-time breakdown (ConfigReport.StageNS: wall
-// time by frontend / interprocedural analysis / per-function passes);
-// regpromo-bench/3 added the process-wide metrics snapshot
-// (Report.Metrics) captured after the measurement matrix ran;
-// regpromo-bench/4 added the scale-tier cell (Report.Scale: cold vs
-// warm incremental-analysis cost on a ~1000-function module);
-// regpromo-bench/5 added per-engine execution cells
-// (ConfigReport.Execs: one timed run per requested engine — flat,
-// switch, native — with Exec kept as the first engine's event for
-// older readers); regpromo-bench/6 added the static register-pressure
-// reports (ConfigReport.Pressure: per promotion site, how many
-// promoted values are simultaneously live against the K budget).
-const SchemaVersion = "regpromo-bench/6"
+// report shape changes; LoadReport reads only the current schema.
+// regpromo-bench/7 made the report deterministic: it carries the
+// dynamic counts, compile-side diagnostics, and static register
+// pressure of every cell, and no wall-clock or process-wide field
+// (timing is perfbench's job), so two runs of the same code write
+// byte-identical reports.
+const SchemaVersion = "regpromo-bench/7"
 
 // BaselineGlob matches versioned benchmark reports in the repo root.
 const BaselineGlob = "BENCH_*.json"
 
-// Report is the machine-readable benchmark trajectory: the paper's
-// full figure matrix plus per-pass compile telemetry for every
-// program under all four measurement configurations.
+// Report is the machine-readable benchmark result: the paper's full
+// figure matrix with the per-cell counts it is derived from. Every
+// field is deterministic.
 type Report struct {
 	Schema string `json:"schema"`
-	// Timestamp is when the run happened (RFC 3339); the caller
-	// stamps it so report generation itself stays deterministic.
-	Timestamp string `json:"timestamp,omitempty"`
 	// MemLatency is the WeightedCycles memory-op weight in effect.
 	MemLatency int             `json:"mem_latency"`
 	Programs   []ProgramReport `json:"programs"`
 	Figures    []FigureReport  `json:"figures"`
-	// Metrics is the process-wide metrics snapshot taken right after
-	// the matrix ran, when metrics were enabled for the run (schema 3+).
-	Metrics *obs.MetricsSnapshot `json:"metrics,omitempty"`
 	// Scale is the scale-tier cell, present when the run included
-	// `-tier scale` (schema 4+).
+	// `-tier scale`.
 	Scale *ScaleReport `json:"scale,omitempty"`
 }
 
@@ -73,25 +59,8 @@ type ConfigReport struct {
 	// Promotions and Spilled are the compile-side diagnostics.
 	Promotions int `json:"promotions"`
 	Spilled    int `json:"spilled"`
-	// CompileNS is total pipeline wall time; StageNS breaks it down
-	// by coarse compile stage (driver.PassStage: "frontend",
-	// "analysis", "passes"); Passes itemizes it with per-pass IR
-	// deltas and statistics.
-	CompileNS int64            `json:"compile_ns"`
-	StageNS   map[string]int64 `json:"stage_ns,omitempty"`
-	Passes    []*obs.PassEvent `json:"passes"`
-	// Exec records the execution side: engine, compile-once reuse,
-	// and run wall time. In a multi-engine run it duplicates Execs[0]
-	// so readers of older schemas keep working.
-	Exec obs.ExecEvent `json:"exec,omitempty"`
-	// Execs is the per-engine execution record (schema 5+), one event
-	// per engine in the order the run requested. Counts are identical
-	// across engines by the parity contract; only the wall times
-	// differ, which is exactly what the native-speedup ratio reads.
-	Execs []obs.ExecEvent `json:"execs,omitempty"`
 	// Pressure is the static register-pressure report per promotion
-	// site (schema 6+): present only in promoting configurations, and
-	// fully deterministic — it survives StripTimings. An over-budget
+	// site, present only in promoting configurations. An over-budget
 	// site is the static signature of the paper's water anecdote.
 	Pressure []certify.Pressure `json:"pressure,omitempty"`
 }
@@ -103,30 +72,43 @@ type FigureReport struct {
 	Rows   []ReportRow `json:"rows"`
 }
 
-// ReportRow is a figure row with the derived columns made explicit.
+// ReportRow is one (program, analysis) line of a results table.
 type ReportRow struct {
-	Program        string  `json:"program"`
-	Analysis       string  `json:"analysis"`
-	Without        int64   `json:"without"`
-	With           int64   `json:"with"`
+	Program  string `json:"program"`
+	Analysis string `json:"analysis"`
+	Without  int64  `json:"without"`
+	With     int64  `json:"with"`
+	// Difference is Without-With (positive means promotion removed
+	// operations); PercentRemoved is the paper's "% removed" column.
 	Difference     int64   `json:"difference"`
 	PercentRemoved float64 `json:"percent_removed"`
+}
+
+// newRow fills in a row's derived columns.
+func newRow(program, analysis string, without, with int64) ReportRow {
+	r := ReportRow{Program: program, Analysis: analysis, Without: without, With: with, Difference: without - with}
+	if without != 0 {
+		r.PercentRemoved = 100 * float64(r.Difference) / float64(without)
+	}
+	return r
 }
 
 // figureNumbers maps each metric to its figure number (8 is this
 // reproduction's weighted-cycles extension).
 var figureNumbers = map[Metric]int{TotalOps: 5, Stores: 6, Loads: 7, WeightedCycles: 8}
 
-// CollectReport runs the full observed measurement matrix: every
-// selected program is compiled with pass-manager telemetry and
-// executed under all four paper configurations. Outputs are
-// cross-checked across configurations, as in RunFigures, and
-// Options.Parallel fans the programs out the same way; everything in
-// the report except wall-clock pass timings is identical between
-// serial and parallel runs.
+// CollectReport runs the measurement matrix: each selected program
+// is compiled and run under the four paper configurations ({modref,
+// pointer} × {without, with promotion}), and the rows of Figures 5,
+// 6, and 7 (plus the Figure 8 weighted-cycles extension) are derived
+// from the same runs. A configuration that changes a program's
+// observable output indicates a miscompilation and fails the run.
+// Options.Parallel spreads the programs over a worker pool; results
+// are assembled in suite order, so parallel and serial runs produce
+// byte-identical reports.
 func CollectReport(opts Options) (*Report, error) {
 	programs := opts.selected()
-	reports, err := ParallelMap(len(programs), opts.workers(), func(i int) (ProgramReport, error) {
+	reports, err := par.ParallelMap(len(programs), opts.workers(), func(i int) (ProgramReport, error) {
 		return collectProgram(programs[i], opts)
 	})
 	if err != nil {
@@ -134,22 +116,17 @@ func CollectReport(opts Options) (*Report, error) {
 	}
 	r := &Report{Schema: SchemaVersion, MemLatency: MemLatency, Programs: reports}
 	r.Figures = r.buildFigures()
-	if reg := obs.Metrics(); reg != nil {
-		r.Metrics = reg.Snapshot()
-	}
 	return r, nil
 }
 
 // collectProgram measures one suite member under all four paper
-// configurations with telemetry attached. The front end runs once per
-// program; each configuration's pipeline is forked from the shared
-// artifact and its observer records the "frontend.reuse" stage in
-// place of a repeated parse.
+// configurations. The front end runs once per program; each
+// configuration's pipeline is forked from the shared artifact.
 func collectProgram(p Program, opts Options) (ProgramReport, error) {
 	pr := ProgramReport{Name: p.Name, Lines: Lines(p)}
-	fe, err := frontend(p)
+	fe, err := driver.ParseSource(p.Name+".c", Source(p))
 	if err != nil {
-		return pr, err
+		return pr, fmt.Errorf("%s: %w", p.Name, err)
 	}
 	var outputs []string
 	for _, analysis := range []driver.Analysis{driver.ModRef, driver.PointsTo} {
@@ -158,28 +135,21 @@ func collectProgram(p Program, opts Options) (ProgramReport, error) {
 			if promote {
 				cfg.PointerPromote = opts.PointerPromotion
 			}
-			m, err := measureSharedEngines(p, fe, cfg, opts.engineList(), &obs.Pipeline{})
+			c, err := fe.Compile(cfg, nil)
+			if err != nil {
+				return pr, fmt.Errorf("%s: %w", p.Name, err)
+			}
+			m, err := execute(p, c, opts.engineList())
 			if err != nil {
 				return pr, err
 			}
 			outputs = append(outputs, m.Output)
-			var compileNS int64
-			stageNS := make(map[string]int64)
-			for _, e := range m.Passes {
-				compileNS += e.DurationNS
-				stageNS[driver.PassStage(e.Name)] += e.DurationNS
-			}
 			pr.Configs = append(pr.Configs, ConfigReport{
 				Analysis:   analysis.String(),
 				Promote:    promote,
 				Counts:     m.Counts,
 				Promotions: m.Promote,
 				Spilled:    m.Spilled,
-				CompileNS:  compileNS,
-				StageNS:    stageNS,
-				Passes:     m.Passes,
-				Exec:       m.Exec,
-				Execs:      m.Execs,
 				Pressure:   m.Pressure,
 			})
 		}
@@ -205,17 +175,7 @@ func (r *Report) buildFigures() []FigureReport {
 				if !okW || !okP {
 					continue
 				}
-				row := ReportRow{
-					Program:  p.Name,
-					Analysis: analysis,
-					Without:  metric.pick(without.Counts),
-					With:     metric.pick(with.Counts),
-				}
-				row.Difference = row.Without - row.With
-				if row.Without != 0 {
-					row.PercentRemoved = 100 * float64(row.Difference) / float64(row.Without)
-				}
-				fr.Rows = append(fr.Rows, row)
+				fr.Rows = append(fr.Rows, newRow(p.Name, analysis, metric.pick(without.Counts), metric.pick(with.Counts)))
 			}
 		}
 		figs = append(figs, fr)
@@ -223,19 +183,11 @@ func (r *Report) buildFigures() []FigureReport {
 	return figs
 }
 
-// ExecFor returns the cell's execution event for the named engine,
-// if the cell recorded one. Schema-5 cells are searched by engine;
-// older reports carry a single legacy Exec event, which matches by
-// its engine name (reports predating the engine label count as flat).
-func (c *ConfigReport) ExecFor(engine string) (*obs.ExecEvent, bool) {
-	for i := range c.Execs {
-		if c.Execs[i].Engine == engine {
-			return &c.Execs[i], true
-		}
-	}
-	if len(c.Execs) == 0 && c.Exec != (obs.ExecEvent{}) {
-		if c.Exec.Engine == engine || (c.Exec.Engine == "" && engine == "flat") {
-			return &c.Exec, true
+// Figure returns figure n (5–8) of the report, if present.
+func (r *Report) Figure(n int) (*FigureReport, bool) {
+	for i := range r.Figures {
+		if r.Figures[i].Figure == n {
+			return &r.Figures[i], true
 		}
 	}
 	return nil, false
@@ -262,39 +214,6 @@ func (r *Report) Program(name string) (*ProgramReport, bool) {
 	return nil, false
 }
 
-// StripTimings zeroes every wall-clock field — the report timestamp,
-// per-config compile times, and per-pass durations. What remains is
-// fully deterministic (counts, figure rows, IR snapshots), so two
-// stripped reports from the same code are byte-identical however they
-// were scheduled; the determinism tests compare serial and parallel
-// runs this way.
-func (r *Report) StripTimings() {
-	r.Timestamp = ""
-	// The metrics snapshot is process-wide — it accumulates across every
-	// compilation the process ran, not just this report's matrix — so it
-	// cannot survive a determinism comparison.
-	r.Metrics = nil
-	for i := range r.Programs {
-		for j := range r.Programs[i].Configs {
-			c := &r.Programs[i].Configs[j]
-			c.CompileNS = 0
-			c.StageNS = nil
-			c.Exec.DurationNS = 0
-			for k := range c.Execs {
-				c.Execs[k].DurationNS = 0
-			}
-			for _, e := range c.Passes {
-				e.DurationNS = 0
-			}
-		}
-	}
-	if r.Scale != nil {
-		r.Scale.Cold.AnalysisNS, r.Scale.Cold.CompileNS = 0, 0
-		r.Scale.Warm.AnalysisNS, r.Scale.Warm.CompileNS = 0, 0
-		r.Scale.Speedup = 0
-	}
-}
-
 // WriteJSON emits the report as indented JSON.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -312,8 +231,9 @@ func LoadReport(path string) (*Report, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if !strings.HasPrefix(r.Schema, "regpromo-bench/") {
-		return nil, fmt.Errorf("%s: unrecognized schema %q", path, r.Schema)
+	if r.Schema != SchemaVersion {
+		return nil, fmt.Errorf("%s: schema %q is not %q; regenerate the report with `go run ./cmd/rpbench -json`",
+			path, r.Schema, SchemaVersion)
 	}
 	return &r, nil
 }

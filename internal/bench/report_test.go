@@ -2,20 +2,19 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
-	"regpromo/internal/driver"
+	"regpromo/internal/interp"
 )
 
-// TestCollectReport runs the observed matrix on a small subset and
-// checks the report carries everything the acceptance criteria name:
-// all four configurations per program, dynamic counts, per-pass wall
-// time, and IR-delta records.
+// TestCollectReport runs the matrix on a small subset and checks the
+// report carries all four configurations per program with dynamic
+// counts, and that every figure row is derived from its cells' counts.
 func TestCollectReport(t *testing.T) {
 	r, err := CollectReport(Options{Programs: []string{"tsp", "dhrystone"}})
 	if err != nil {
@@ -38,56 +37,103 @@ func TestCollectReport(t *testing.T) {
 			if c.Counts.Ops <= 0 {
 				t.Fatalf("%s/%s: no dynamic counts", p.Name, c.Analysis)
 			}
-			if len(c.Passes) == 0 {
-				t.Fatalf("%s/%s: no per-pass records", p.Name, c.Analysis)
-			}
-			if c.CompileNS <= 0 {
-				t.Fatalf("%s/%s: no compile wall time", p.Name, c.Analysis)
-			}
-			names := map[string]bool{}
-			for _, e := range c.Passes {
-				names[e.Name] = true
-			}
-			// Compile-once sharing: each configuration's stream opens
-			// with the fork-from-artifact stage, not a repeated parse.
-			if !names[driver.PassFrontendReuse] || !names[driver.PassRegalloc] {
-				t.Fatalf("%s/%s: pass stream incomplete: %v", p.Name, c.Analysis, names)
-			}
-			if names[driver.PassFrontend] {
-				t.Fatalf("%s/%s: front end re-ran despite the shared artifact", p.Name, c.Analysis)
-			}
-			if c.Promote != names[driver.PassPromote] {
-				t.Fatalf("%s/%s: promote pass presence disagrees with config", p.Name, c.Analysis)
-			}
-			if c.Exec.Engine != "flat" || !c.Exec.FrontendReused || c.Exec.DurationNS <= 0 {
-				t.Fatalf("%s/%s: execution telemetry incomplete: %+v", p.Name, c.Analysis, c.Exec)
-			}
 		}
 	}
-	// Figures: 4 figures × (2 programs × 2 analyses) rows, agreeing
-	// with an unobserved RunFigures over the same subset.
+	// Figures: 4 figures × (2 programs × 2 analyses) rows.
 	if len(r.Figures) != 4 {
 		t.Fatalf("got %d figures", len(r.Figures))
 	}
-	fr, err := RunFigures(Options{Programs: []string{"tsp", "dhrystone"}})
+	for i, fig := range r.Figures {
+		if fig.Figure != 5+i || len(fig.Rows) != 4 {
+			t.Fatalf("figure %d (index %d): got %d rows", fig.Figure, i, len(fig.Rows))
+		}
+	}
+	f5, ok := r.Figure(5)
+	if !ok {
+		t.Fatal("figure 5 missing")
+	}
+	for _, row := range f5.Rows {
+		p, _ := r.Program(row.Program)
+		without, _ := p.Config(row.Analysis, false)
+		with, _ := p.Config(row.Analysis, true)
+		want := newRow(row.Program, row.Analysis, without.Counts.Ops, with.Counts.Ops)
+		if row != want || row.Difference != row.Without-row.With {
+			t.Fatalf("figure 5 row %+v, want %+v", row, want)
+		}
+	}
+}
+
+// TestCollectReportParallelDeterminism: the JSON report must be
+// byte-identical however the programs were scheduled — it holds no
+// timing, so nothing needs stripping before the comparison.
+func TestCollectReportParallelDeterminism(t *testing.T) {
+	serial := renderReport(t, Options{Programs: poolPrograms})
+	if parallel := renderReport(t, Options{Programs: poolPrograms, Parallel: 4}); !bytes.Equal(serial, parallel) {
+		t.Error("parallel report differs from serial report")
+	}
+}
+
+// TestRunFiguresParallelDeterminism: the parallel measurement matrix
+// must render byte-identical tables and compile-side diagnostics to
+// the serial one.
+func TestRunFiguresParallelDeterminism(t *testing.T) {
+	serial, err := CollectReport(Options{Programs: poolPrograms})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fig := range r.Figures {
-		if len(fig.Rows) != 4 {
-			t.Fatalf("figure %d: got %d rows", fig.Figure, len(fig.Rows))
+	par, err := CollectReport(Options{Programs: poolPrograms, Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Figures) != len(par.Figures) {
+		t.Fatalf("serial run has %d figures, parallel %d", len(serial.Figures), len(par.Figures))
+	}
+	for i := range serial.Figures {
+		s, p := FormatTable(&serial.Figures[i]), FormatTable(&par.Figures[i])
+		if s != p {
+			t.Errorf("%s: parallel table differs from serial\nserial:\n%s\nparallel:\n%s", serial.Figures[i].Metric, s, p)
 		}
 	}
-	wantOps := fr.Rows[TotalOps]
-	gotOps := r.Figures[0].Rows
-	for i := range wantOps {
-		if gotOps[i].Program != wantOps[i].Program ||
-			gotOps[i].Without != wantOps[i].Without ||
-			gotOps[i].With != wantOps[i].With {
-			t.Fatalf("figure 5 row %d disagrees with RunFigures: %+v vs %+v",
-				i, gotOps[i], wantOps[i])
+	type diag struct{ promotions, spilled int }
+	diags := func(r *Report) map[string]diag {
+		m := map[string]diag{}
+		for _, p := range r.Programs {
+			for _, c := range p.Configs {
+				m[p.Name+"/"+c.Analysis+"/"+strconv.FormatBool(c.Promote)] = diag{c.Promotions, c.Spilled}
+			}
 		}
+		return m
 	}
+	if !reflect.DeepEqual(diags(serial), diags(par)) {
+		t.Error("diagnostic counts differ between serial and parallel runs")
+	}
+}
+
+// TestEnginesParityReport: listing more engines only adds the parity
+// check — each engine runs, all agree, and the report is byte-identical
+// to a flat-only one.
+func TestEnginesParityReport(t *testing.T) {
+	flat := renderReport(t, Options{Programs: poolPrograms})
+	both := renderReport(t, Options{Programs: poolPrograms, Engines: []interp.Engine{interp.EngineFlat, interp.EngineSwitch}})
+	if !bytes.Equal(flat, both) {
+		t.Error("flat+switch report differs from the flat-only report")
+	}
+}
+
+// poolPrograms is a small, cheap subset used by the determinism tests.
+var poolPrograms = []string{"allroots", "dhrystone", "tsp"}
+
+func renderReport(t *testing.T, opts Options) []byte {
+	t.Helper()
+	r, err := CollectReport(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestReportJSONRoundTripAndBaseline writes a report to a BENCH_*.json
@@ -98,7 +144,6 @@ func TestReportJSONRoundTripAndBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Timestamp = "2026-08-06T00:00:00Z"
 
 	dir := t.TempDir()
 	if _, _, err := LatestBaseline(dir); !errors.Is(err, os.ErrNotExist) {
@@ -138,26 +183,35 @@ func TestReportJSONRoundTripAndBaseline(t *testing.T) {
 	}
 }
 
-// TestLoadReportRejectsGarbage: schema and syntax failures are
-// reported, not silently accepted.
+// TestLoadReportRejectsGarbage: syntax errors, foreign schemas, and
+// every bench schema but the current one are reported, not silently
+// accepted; an old report gets one message that names its schema and
+// says how to regenerate it.
 func TestLoadReportRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "BENCH_bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"other/1"}`), 0o644); err != nil {
-		t.Fatal(err)
+	load := func(content string) error {
+		t.Helper()
+		if err := os.WriteFile(bad, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadReport(bad)
+		return err
 	}
-	if _, err := LoadReport(bad); err == nil {
+	if load(`{"schema":"other/1"}`) == nil {
 		t.Fatal("foreign schema accepted")
 	}
-	if err := os.WriteFile(bad, []byte(`{`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadReport(bad); err == nil {
+	if load(`{`) == nil {
 		t.Fatal("syntax error accepted")
 	}
-	var r Report
-	data, _ := json.Marshal(map[string]string{"schema": SchemaVersion})
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatal(err)
+	for _, old := range []string{"regpromo-bench/1", "regpromo-bench/6"} {
+		err := load(`{"schema":"` + old + `","programs":[]}`)
+		want := bad + `: schema "` + old + `" is not "regpromo-bench/7"; regenerate the report with ` + "`go run ./cmd/rpbench -json`"
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", old, err, want)
+		}
+	}
+	if err := load(`{"schema":"regpromo-bench/7","programs":[]}`); err != nil {
+		t.Errorf("current schema rejected: %v", err)
 	}
 }

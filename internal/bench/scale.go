@@ -16,10 +16,10 @@ import (
 // measures the compiler itself on a ~1000-function module — cold
 // interprocedural analysis, then warm re-analysis of the same module
 // with one function edited, sharing one analysis cache. Its headline
-// quantities are the warm/cold analysis wall-time ratio and the
-// solved-vs-cached SCC counts; its soundness gate is that the warm
-// compile's IL is byte-identical to an uncached compile of the same
-// edited source.
+// quantities are the solved-vs-cached SCC counts (perfbench's
+// scale-recompile workload times the same recompile); its soundness
+// gate is that the warm compile's IL is byte-identical to an uncached
+// compile of the same edited source.
 
 // ScaleOptions selects the scale-tier run.
 type ScaleOptions struct {
@@ -38,22 +38,16 @@ type ScaleOptions struct {
 	Execute bool
 }
 
-// ScalePhase is one compile's analysis cost.
+// ScalePhase is one compile's analysis work.
 type ScalePhase struct {
-	// AnalysisNS is wall time summed over the interprocedural analysis
-	// passes (driver.PassStage "analysis"); CompileNS is the whole
-	// pipeline including the front end. Wall-clock, so informational.
-	AnalysisNS int64 `json:"analysis_ns"`
-	CompileNS  int64 `json:"compile_ns"`
 	// SCCsSolved and SCCsCached count component fixpoints computed
 	// versus replayed from the cache, summed over the pipeline's
-	// analysis passes. Deterministic.
+	// analysis passes.
 	SCCsSolved int `json:"sccs_solved"`
 	SCCsCached int `json:"sccs_cached"`
 }
 
-// ScaleReport is the scale tier's cell in the bench report
-// (regpromo-bench/4).
+// ScaleReport is the scale tier's cell in the bench report.
 type ScaleReport struct {
 	Seed      int64 `json:"seed"`
 	Functions int   `json:"functions"`
@@ -64,10 +58,6 @@ type ScaleReport struct {
 	EditedFunc string     `json:"edited_func"`
 	Cold       ScalePhase `json:"cold"`
 	Warm       ScalePhase `json:"warm"`
-	// Speedup is Cold.AnalysisNS / Warm.AnalysisNS (wall-clock,
-	// informational; the deterministic warm-work gate is
-	// Warm.SCCsSolved ≪ SCCs).
-	Speedup float64 `json:"analysis_speedup"`
 	// Identical certifies the incremental result: the warm compile's
 	// final IL is byte-identical to compiling the edited source with
 	// no cache.
@@ -119,9 +109,6 @@ func RunScale(o ScaleOptions) (*ScaleReport, error) {
 		Warm:       warm,
 		Identical:  ir.FormatModule(warmC.Module) == ir.FormatModule(scratchC.Module),
 	}
-	if warm.AnalysisNS > 0 {
-		r.Speedup = float64(cold.AnalysisNS) / float64(warm.AnalysisNS)
-	}
 	if o.Execute {
 		if err := scaleExecute(coldC, warmC, scratchC); err != nil {
 			return nil, err
@@ -130,9 +117,9 @@ func RunScale(o ScaleOptions) (*ScaleReport, error) {
 	return r, nil
 }
 
-// compileScale compiles one source under an observer and folds the
-// pass events into a ScalePhase. sccs is the component count the
-// pipeline's first MOD/REF pass reported.
+// compileScale compiles one source and reads its analysis work off
+// the compilation. sccs is the component count the pipeline's first
+// MOD/REF pass reported.
 func compileScale(name, src string, cfg driver.Config) (*driver.Compilation, ScalePhase, int, error) {
 	pipe := &obs.Pipeline{}
 	c, err := driver.Compile(name, src, cfg, pipe)
@@ -140,17 +127,12 @@ func compileScale(name, src string, cfg driver.Config) (*driver.Compilation, Sca
 		return nil, ScalePhase{}, 0, err
 	}
 	ph := ScalePhase{SCCsSolved: c.Analysis.SCCsSolved, SCCsCached: c.Analysis.SCCsCached}
-	sccs := 0
 	for _, e := range pipe.Events {
-		ph.CompileNS += e.DurationNS
-		if driver.PassStage(e.Name) == "analysis" {
-			ph.AnalysisNS += e.DurationNS
-		}
-		if sccs == 0 && e.Name == driver.PassModRef {
-			sccs = int(e.Extra["sccs_solved"] + e.Extra["sccs_cached"])
+		if e.Name == driver.PassModRef {
+			return c, ph, int(e.Extra["sccs_solved"] + e.Extra["sccs_cached"]), nil
 		}
 	}
-	return c, ph, sccs, nil
+	return c, ph, 0, nil
 }
 
 // scaleExecute runs the three compilations and checks the two edited

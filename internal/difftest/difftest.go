@@ -27,8 +27,8 @@
 // self-contained failure artifact — original and reduced C source,
 // the final IL of every configuration, and a repro command — under a
 // corpus directory (WriteArtifacts). Fuzz drives the whole loop
-// across a seed range on the shared bench worker pool; cmd/rpfuzz is
-// its CLI:
+// across a seed range on the shared worker pool (internal/par);
+// cmd/rpfuzz is its CLI:
 //
 //	go run ./cmd/rpfuzz -seeds 200 -short -oracles all
 package difftest
@@ -42,11 +42,11 @@ import (
 	"strings"
 	"sync"
 
-	"regpromo/internal/bench"
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
 	"regpromo/internal/ir"
 	"regpromo/internal/obs"
+	"regpromo/internal/par"
 	"regpromo/internal/testgen"
 )
 
@@ -460,7 +460,7 @@ type FuzzReport struct {
 
 // Fuzz differentially tests Seeds consecutive seeds under the chosen
 // oracles and reports every divergence, reduced and archived according
-// to the options. The seed loop runs on the shared bench worker pool;
+// to the options. The seed loop runs on the shared worker pool (par);
 // failures are reported in seed order regardless of schedule. The
 // error return is for infrastructure problems (unwritable corpus);
 // divergences are data, not errors.
@@ -468,7 +468,7 @@ func Fuzz(opts FuzzOptions) (*FuzzReport, error) {
 	matrix := driver.DifferentialConfigurations(opts.Short)
 	report := &FuzzReport{Tally: Tally{Oracles: opts.Oracles}, Matrix: matrix}
 	var mu sync.Mutex
-	fails, err := bench.ParallelMap(int(opts.Seeds), opts.Parallel, func(i int) (*Failure, error) {
+	fails, err := par.ParallelMap(int(opts.Seeds), opts.Parallel, func(i int) (*Failure, error) {
 		seed := opts.Start + int64(i)
 		r := DiffSeed(seed, matrix, opts.Oracles)
 		div := r.Divergence()

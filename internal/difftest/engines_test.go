@@ -8,6 +8,7 @@ import (
 	"regpromo/internal/bench"
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
+	"regpromo/internal/par"
 	"regpromo/internal/testgen"
 )
 
@@ -60,7 +61,7 @@ func TestEnginesAgreeOnSeeds(t *testing.T) {
 		seeds = 25
 	}
 	matrix := driver.DifferentialConfigurations(testing.Short())
-	_, err := bench.ParallelMap(seeds, 0, func(i int) (struct{}, error) {
+	_, err := par.ParallelMap(seeds, 0, func(i int) (struct{}, error) {
 		seed := int64(i)
 		fe, err := driver.ParseSource(fmt.Sprintf("seed%d.c", seed), testgen.Program(seed))
 		if err != nil {
@@ -89,7 +90,7 @@ func TestEnginesAgreeOnBenchSuite(t *testing.T) {
 	if testing.Short() {
 		programs = programs[:4]
 	}
-	_, err := bench.ParallelMap(len(programs), 0, func(i int) (struct{}, error) {
+	_, err := par.ParallelMap(len(programs), 0, func(i int) (struct{}, error) {
 		p := programs[i]
 		fe, err := driver.ParseSource(p.Name+".c", bench.Source(p))
 		if err != nil {

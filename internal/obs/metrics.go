@@ -193,7 +193,7 @@ type HistogramValue struct {
 }
 
 // MetricsSnapshot is a point-in-time, name-sorted copy of a registry,
-// the form metrics take in the rpbench JSON report.
+// the form metrics take when printed (Format) or exported (WriteJSON).
 type MetricsSnapshot struct {
 	Counters   []MetricValue    `json:"counters,omitempty"`
 	Gauges     []MetricValue    `json:"gauges,omitempty"`

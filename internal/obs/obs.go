@@ -5,8 +5,7 @@
 // census: immediate and constant loads, scalar ("tagged") loads and
 // stores, and general pointer-based loads and stores), pass-specific
 // statistics folded into a flat key/value map, and — on request — a
-// full IL dump. The event stream serializes to JSON so benchmark
-// trajectories (BENCH_*.json) and CLI traces share one schema.
+// full IL dump. The event stream serializes to JSON (`rpcc -json`).
 //
 // The paper's evaluation (§5) is measurement end to end; this package
 // makes the pipeline itself measurable, pass by pass.
@@ -230,21 +229,6 @@ func cyclicBlocks(fn *ir.Func) map[*ir.Block]bool {
 		}
 	}
 	return out
-}
-
-// ExecEvent records one interpreter execution: which engine ran the
-// program, whether its compile was forked from a shared front-end
-// artifact (compile-once sharing) rather than parsed from scratch, and
-// the execution wall time. Benchmark reports embed it so a trajectory
-// shows which engine produced each number.
-type ExecEvent struct {
-	// Engine names the interpreter engine ("flat" or "switch").
-	Engine string `json:"engine,omitempty"`
-	// FrontendReused is true when the compile reused a parsed artifact
-	// instead of re-running the front end.
-	FrontendReused bool `json:"frontend_reused,omitempty"`
-	// DurationNS is the execution's wall-clock time in nanoseconds.
-	DurationNS int64 `json:"duration_ns,omitempty"`
 }
 
 // PassEvent is one pass's record in the event stream.

@@ -1,6 +1,6 @@
 // Package par is the repo's shared bounded worker pool. The benchmark
-// harness uses it to parallelize the measurement matrix (RunFigures,
-// CollectReport), the differential tester (internal/difftest) fans
+// harness uses it to parallelize the measurement matrix
+// (CollectReport), the differential tester (internal/difftest) fans
 // seeds out across CPUs with it, and the driver's middle end runs
 // per-function pass groups through it; all need the same contract:
 // bounded concurrency, results in input order, fail-fast on error.
