@@ -32,29 +32,31 @@ func Func(fn *ir.Func) int {
 	fn.RemoveUnreachable()
 	dom := cfg.Dominators(fn)
 
-	defCount := make(map[ir.Reg]int)
+	defCount := make([]int, fn.NumRegs)
 	for _, p := range fn.Params {
 		defCount[p]++
 	}
-	type defSite struct {
-		b *ir.Block
-		i int
-	}
-	defs := make(map[ir.Reg]defSite)
 	for _, b := range fn.Blocks {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.RegInvalid {
 				defCount[d]++
-				defs[d] = defSite{b, i}
 			}
 		}
 	}
 
-	// forward maps x -> y for propagatable copies.
-	forward := make(map[ir.Reg]ir.Reg)
+	// forward maps x -> y for propagatable copies (RegInvalid when x
+	// is not one).
+	forward := make([]ir.Reg, fn.NumRegs)
+	for i := range forward {
+		forward[i] = ir.RegInvalid
+	}
+	nForward := 0
+	uses := cfg.NewUseIndex(fn, dom)
 	for _, b := range fn.Blocks {
+		uses.StartBlock()
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
+			uses.Step(in)
 			if in.Op != ir.OpCopy {
 				continue
 			}
@@ -62,20 +64,21 @@ func Func(fn *ir.Func) int {
 			if defCount[x] != 1 || defCount[y] > 1 {
 				continue
 			}
-			if !dominatesAllUses(fn, dom, b, i, x) {
+			if !uses.DominatesUses(b, x) {
 				continue
 			}
 			forward[x] = y
+			nForward++
 		}
 	}
-	if len(forward) == 0 {
+	if nForward == 0 {
 		return 0
 	}
 	// Resolve chains x -> y -> z.
 	resolve := func(r ir.Reg) ir.Reg {
-		for i := 0; i < len(forward); i++ {
-			y, ok := forward[r]
-			if !ok {
+		for i := 0; i < nForward; i++ {
+			y := forward[r]
+			if y == ir.RegInvalid {
 				return r
 			}
 			r = y
@@ -96,29 +99,4 @@ func Func(fn *ir.Func) int {
 		}
 	}
 	return n
-}
-
-// dominatesAllUses reports whether the definition at (db, di)
-// dominates every use of r.
-func dominatesAllUses(fn *ir.Func, dom *cfg.DomTree, db *ir.Block, di int, r ir.Reg) bool {
-	var buf [8]ir.Reg
-	for _, b := range fn.Blocks {
-		for i := range b.Instrs {
-			for _, u := range b.Instrs[i].Uses(buf[:0]) {
-				if u != r {
-					continue
-				}
-				if b == db {
-					if i <= di {
-						return false
-					}
-					continue
-				}
-				if !dom.Dominates(db, b) {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }

@@ -22,6 +22,7 @@
 package pre
 
 import (
+	"slices"
 	"sort"
 
 	"regpromo/internal/dataflow"
@@ -46,22 +47,69 @@ type fact struct {
 	size int
 }
 
-// facts is an immutable-ish set of facts.
-type facts map[fact]bool
-
-func (f facts) clone() facts {
-	out := make(facts, len(f))
-	for k := range f {
-		out[k] = true
+func (f fact) less(o fact) bool {
+	if f.tag != o.tag {
+		return f.tag < o.tag
 	}
-	return out
+	if f.reg != o.reg {
+		return f.reg < o.reg
+	}
+	return f.size < o.size
+}
+
+// facts is a set of facts kept sorted by (tag, reg, size), so a tag's
+// facts form one contiguous run, lowest register first. A nil facts
+// is ⊤ ("not yet computed"); an empty non-nil one is ∅.
+type facts []fact
+
+func (f facts) clone() facts { return append(make(facts, 0, len(f)), f...) }
+
+// search returns the position of x in f, or where it would go.
+func (f facts) search(x fact) int {
+	return sort.Search(len(f), func(i int) bool { return !f[i].less(x) })
+}
+
+// tagRun returns the bounds of t's run.
+func (f facts) tagRun(t ir.TagID) (lo, hi int) {
+	lo = sort.Search(len(f), func(i int) bool { return f[i].tag >= t })
+	hi = lo
+	for hi < len(f) && f[hi].tag == t {
+		hi++
+	}
+	return lo, hi
+}
+
+func (f *facts) add(x fact) {
+	s := *f
+	i := s.search(x)
+	if i < len(s) && s[i] == x {
+		return
+	}
+	s = append(s, fact{})
+	copy(s[i+1:], s[i:])
+	s[i] = x
+	*f = s
+}
+
+func (f *facts) remove(x fact) {
+	s := *f
+	if i := s.search(x); i < len(s) && s[i] == x {
+		*f = append(s[:i], s[i+1:]...)
+	}
 }
 
 func intersect(a, b facts) facts {
-	out := make(facts)
-	for k := range a {
-		if b[k] {
-			out[k] = true
+	out := make(facts, 0, min(len(a), len(b)))
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] == b[j]:
+			out = append(out, a[i])
+			i++
+			j++
+		case a[i].less(b[j]):
+			i++
+		default:
+			j++
 		}
 	}
 	return out
@@ -71,20 +119,25 @@ func equal(a, b facts) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for k := range a {
-		if !b[k] {
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
 	}
 	return true
 }
 
+// holdings indexes facts by register: for each single-definition
+// register, the (tag, size) pairs it can ever hold, read off the loads
+// that define it and the stores that write it.
+type holdings [][]fact
+
 // Func eliminates redundant loads in one function.
 func Func(fn *ir.Func) int {
 	fn.RemoveUnreachable()
 	n := len(fn.Blocks)
 
-	defCount := make(map[ir.Reg]int)
+	defCount := make([]int, fn.NumRegs)
 	// Parameters carry an implicit entry definition.
 	for _, p := range fn.Params {
 		defCount[p]++
@@ -93,6 +146,25 @@ func Func(fn *ir.Func) int {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.RegInvalid {
 				defCount[d]++
+			}
+		}
+	}
+	held := make(holdings, fn.NumRegs)
+	for _, b := range fn.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			r := ir.RegInvalid
+			switch in.Op {
+			case ir.OpSLoad, ir.OpCLoad:
+				r = in.Dst
+			case ir.OpSStore:
+				r = in.A
+			}
+			if r == ir.RegInvalid || defCount[r] != 1 {
+				continue
+			}
+			if x := (fact{in.Tag, r, in.Size}); !slices.Contains(held[r], x) {
+				held[r] = append(held[r], x)
 			}
 		}
 	}
@@ -108,7 +180,7 @@ func Func(fn *ir.Func) int {
 	dataflow.SolveBlocks(fn, dataflow.Forward, func(b *ir.Block) bool {
 		var cur facts
 		if b == fn.Entry {
-			cur = make(facts) // nothing is available at entry
+			cur = facts{} // nothing is available at entry
 		} else {
 			first := true
 			for _, p := range b.Preds {
@@ -129,7 +201,7 @@ func Func(fn *ir.Func) int {
 			}
 		}
 		in[b.ID] = cur.clone()
-		transfer(b, cur, defCount, false)
+		transfer(b, &cur, defCount, held, false)
 		if out[b.ID] == nil || !equal(out[b.ID], cur) {
 			out[b.ID] = cur
 			return true
@@ -142,7 +214,7 @@ func Func(fn *ir.Func) int {
 		if in[b.ID] == nil {
 			continue // unreachable in RPO (no processed predecessor)
 		}
-		removed += transfer(b, in[b.ID], defCount, true)
+		removed += transfer(b, &in[b.ID], defCount, held, true)
 	}
 	return removed
 }
@@ -151,37 +223,37 @@ func Func(fn *ir.Func) int {
 // loads become copies (the state transitions are identical either
 // way: a load's destination holds the tag's value whether the value
 // arrived from memory or from the copy source).
-func transfer(b *ir.Block, cur facts, defCount map[ir.Reg]int, rewrite bool) int {
+func transfer(b *ir.Block, cur *facts, defCount []int, held holdings, rewrite bool) int {
 	removed := 0
 	for i := range b.Instrs {
 		instr := &b.Instrs[i]
 		switch instr.Op {
 		case ir.OpSLoad, ir.OpCLoad:
 			if rewrite {
-				if r, ok := holder(cur, instr.Tag, instr.Size); ok && r != instr.Dst {
+				if r, ok := holder(*cur, instr.Tag, instr.Size); ok && r != instr.Dst {
 					*instr = ir.Instr{Op: ir.OpCopy, Dst: instr.Dst, A: r}
 					removed++
 				}
 			}
-			killReg(cur, instr.Dst)
+			killReg(cur, held, instr.Dst)
 			if defCount[instr.Dst] == 1 {
-				cur[fact{instr.Tag, instr.Dst, instr.Size}] = true
+				cur.add(fact{instr.Tag, instr.Dst, instr.Size})
 			}
 		case ir.OpSStore:
 			killTag(cur, instr.Tag)
 			if defCount[instr.A] == 1 {
-				cur[fact{instr.Tag, instr.A, instr.Size}] = true
+				cur.add(fact{instr.Tag, instr.A, instr.Size})
 			}
 		case ir.OpPStore:
 			killTags(cur, instr.Tags)
 		case ir.OpJsr:
 			killTags(cur, instr.Mods)
 			if d := instr.Def(); d != ir.RegInvalid {
-				killReg(cur, d)
+				killReg(cur, held, d)
 			}
 		default:
 			if d := instr.Def(); d != ir.RegInvalid {
-				killReg(cur, d)
+				killReg(cur, held, d)
 			}
 		}
 	}
@@ -191,45 +263,36 @@ func transfer(b *ir.Block, cur facts, defCount map[ir.Reg]int, rewrite bool) int
 // holder picks the available register for (tag, size),
 // deterministically (lowest register number).
 func holder(cur facts, tag ir.TagID, size int) (ir.Reg, bool) {
-	var regs []ir.Reg
-	for k := range cur {
-		if k.tag == tag && k.size == size {
-			regs = append(regs, k.reg)
+	lo, hi := cur.tagRun(tag)
+	for _, f := range cur[lo:hi] {
+		if f.size == size {
+			return f.reg, true
 		}
 	}
-	if len(regs) == 0 {
-		return ir.RegInvalid, false
-	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
-	return regs[0], true
+	return ir.RegInvalid, false
 }
 
-func killReg(cur facts, r ir.Reg) {
-	for k := range cur {
-		if k.reg == r {
-			delete(cur, k)
-		}
+func killReg(cur *facts, held holdings, r ir.Reg) {
+	for _, f := range held[r] {
+		cur.remove(f)
 	}
 }
 
-func killTag(cur facts, t ir.TagID) {
-	for k := range cur {
-		if k.tag == t {
-			delete(cur, k)
-		}
-	}
+func killTag(cur *facts, t ir.TagID) {
+	lo, hi := cur.tagRun(t)
+	*cur = append((*cur)[:lo], (*cur)[hi:]...)
 }
 
-func killTags(cur facts, tags ir.TagSet) {
+func killTags(cur *facts, tags ir.TagSet) {
 	if tags.IsTop() {
-		for k := range cur {
-			delete(cur, k)
-		}
+		*cur = (*cur)[:0]
 		return
 	}
-	for k := range cur {
-		if tags.Has(k.tag) {
-			delete(cur, k)
+	out := (*cur)[:0]
+	for _, f := range *cur {
+		if !tags.Has(f.tag) {
+			out = append(out, f)
 		}
 	}
+	*cur = out
 }

@@ -8,7 +8,6 @@
 package valnum
 
 import (
-	"fmt"
 	"math"
 
 	"regpromo/internal/ir"
@@ -26,9 +25,20 @@ func Run(m *ir.Module) int {
 
 // Func value-numbers one function.
 func Func(fn *ir.Func) int {
+	s := &valnumState{
+		vn:       make(map[ir.Reg]int),
+		leader:   make(map[int]exprVal),
+		expr:     make(map[exprKey]exprVal),
+		constOf:  make(map[int]int64),
+		isConst:  make(map[int]bool),
+		constVN:  make(map[int64]int),
+		fconstVN: make(map[uint64]int),
+		memVal:   make(map[ir.TagID]memFact),
+	}
 	n := 0
 	for _, b := range fn.Blocks {
-		n += block(fn, b)
+		s.reset()
+		n += s.block(b)
 	}
 	return n
 }
@@ -43,7 +53,7 @@ type valnumState struct {
 	// register per address (§3.3).
 	leader map[int]exprVal
 	// expr maps an expression key to (value number, holding reg).
-	expr map[string]exprVal
+	expr map[exprKey]exprVal
 	// constOf maps a value number to a known integer constant.
 	constOf map[int]int64
 	isConst map[int]bool
@@ -56,6 +66,31 @@ type valnumState struct {
 	// (established by a load or store in this block).
 	memVal map[ir.TagID]memFact
 	next   int
+}
+
+// exprKey identifies a computation: the operation and the value
+// numbers of its operands (b is 0, which no value number takes, for
+// unary operations), or for an address materialization the named
+// function and tag.
+type exprKey struct {
+	op     ir.Op
+	a, b   int
+	callee string
+	tag    ir.TagID
+}
+
+// reset empties the tables for the next block; numbering is local to
+// a block.
+func (s *valnumState) reset() {
+	clear(s.vn)
+	clear(s.leader)
+	clear(s.expr)
+	clear(s.constOf)
+	clear(s.isConst)
+	clear(s.constVN)
+	clear(s.fconstVN)
+	clear(s.memVal)
+	s.next = 0
 }
 
 type exprVal struct {
@@ -77,7 +112,7 @@ type memFact struct {
 func (s *valnumState) valid(e exprVal) bool { return s.vn[e.reg] == e.vn }
 
 // lookup returns the live table entry for key, if any.
-func (s *valnumState) lookup(key string) (exprVal, bool) {
+func (s *valnumState) lookup(key exprKey) (exprVal, bool) {
 	e, ok := s.expr[key]
 	if !ok || !s.valid(e) {
 		return exprVal{}, false
@@ -86,7 +121,7 @@ func (s *valnumState) lookup(key string) (exprVal, bool) {
 }
 
 // record stores a table entry for key held in reg.
-func (s *valnumState) record(key string, reg ir.Reg, vn int) {
+func (s *valnumState) record(key exprKey, reg ir.Reg, vn int) {
 	s.expr[key] = exprVal{vn: vn, reg: reg}
 }
 
@@ -121,17 +156,7 @@ func (s *valnumState) fresh(r ir.Reg) int {
 	return s.next
 }
 
-func block(fn *ir.Func, b *ir.Block) int {
-	s := &valnumState{
-		vn:       make(map[ir.Reg]int),
-		leader:   make(map[int]exprVal),
-		expr:     make(map[string]exprVal),
-		constOf:  make(map[int]int64),
-		isConst:  make(map[int]bool),
-		constVN:  make(map[int64]int),
-		fconstVN: make(map[uint64]int),
-		memVal:   make(map[ir.TagID]memFact),
-	}
+func (s *valnumState) block(b *ir.Block) int {
 	changed := 0
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
@@ -184,7 +209,7 @@ func block(fn *ir.Func, b *ir.Block) int {
 			if in.Op.IsCommutative() && vb < va {
 				va, vb = vb, va
 			}
-			key := fmt.Sprintf("%d:%d:%d", in.Op, va, vb)
+			key := exprKey{op: in.Op, a: va, b: vb}
 			if prev, ok := s.lookup(key); ok {
 				*in = ir.Instr{Op: ir.OpCopy, Dst: in.Dst, A: prev.reg}
 				s.vn[in.Dst] = prev.vn
@@ -203,7 +228,7 @@ func block(fn *ir.Func, b *ir.Block) int {
 				changed++
 				continue
 			}
-			key := fmt.Sprintf("%d:%d", in.Op, va)
+			key := exprKey{op: in.Op, a: va}
 			if prev, ok := s.lookup(key); ok {
 				*in = ir.Instr{Op: ir.OpCopy, Dst: in.Dst, A: prev.reg}
 				s.vn[in.Dst] = prev.vn
@@ -214,7 +239,7 @@ func block(fn *ir.Func, b *ir.Block) int {
 			s.record(key, in.Dst, v)
 
 		case ir.OpAddrOf:
-			key := "addr:" + in.Callee + fmt.Sprintf(":%d", in.Tag)
+			key := exprKey{op: in.Op, callee: in.Callee, tag: in.Tag}
 			if prev, ok := s.lookup(key); ok {
 				*in = ir.Instr{Op: ir.OpCopy, Dst: in.Dst, A: prev.reg}
 				s.vn[in.Dst] = prev.vn
@@ -264,7 +289,7 @@ func block(fn *ir.Func, b *ir.Block) int {
 
 func (s *valnumState) killTags(tags ir.TagSet) {
 	if tags.IsTop() {
-		s.memVal = make(map[ir.TagID]memFact)
+		clear(s.memVal)
 		return
 	}
 	tags.ForEach(func(t ir.TagID) {

@@ -26,6 +26,16 @@ func (s bitset) has(r ir.Reg) bool { return s[r/64]&(1<<(uint(r)%64)) != 0 }
 func (s bitset) add(r ir.Reg)      { s[r/64] |= 1 << (uint(r) % 64) }
 func (s bitset) del(r ir.Reg)      { s[r/64] &^= 1 << (uint(r) % 64) }
 
+// first returns the lowest member of s.
+func (s bitset) first() (ir.Reg, bool) {
+	for i, w := range s {
+		if w != 0 {
+			return ir.Reg(i*64 + bits.TrailingZeros64(w)), true
+		}
+	}
+	return ir.RegInvalid, false
+}
+
 func (s bitset) count() int {
 	n := 0
 	for _, w := range s {
