@@ -75,8 +75,14 @@ func goldenILCases(t *testing.T) []string {
 // meant to alter the output regenerates testdata/il_golden.txt from
 // the table this test logs on failure.
 func TestILIdentityGolden(t *testing.T) {
-	got := goldenILCases(t)
-	raw, err := os.ReadFile(filepath.FromSlash(goldenILPath))
+	checkGolden(t, goldenILPath, goldenILCases(t))
+}
+
+// checkGolden compares "<case> <sha256>" lines against the digest file
+// at path and logs the full current table when any case differs.
+func checkGolden(t *testing.T, path string, got []string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.FromSlash(path))
 	if err != nil {
 		t.Fatalf("read golden digests: %v", err)
 	}
@@ -93,7 +99,7 @@ func TestILIdentityGolden(t *testing.T) {
 			t.Errorf("%s: no golden digest", name)
 			bad++
 		} else if w != sum {
-			t.Errorf("%s: IL digest %s, want %s", name, sum, w)
+			t.Errorf("%s: digest %s, want %s", name, sum, w)
 			bad++
 		}
 	}
