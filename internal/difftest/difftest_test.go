@@ -1,6 +1,8 @@
 package difftest
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -290,5 +292,37 @@ func TestParseOracles(t *testing.T) {
 		if back, err := ParseOracles(got.String()); err != nil || back != got {
 			t.Errorf("ParseOracles(%q.String()) = %v, %v; want %v", got, back, err, got)
 		}
+	}
+}
+
+// archivedILPath holds one "<file> <sha256>" line per il-<config>.txt
+// that TestArchivedILGolden archives.
+const archivedILPath = "testdata/archived_il_golden.txt"
+
+// TestArchivedILGolden archives seed 7 under the full matrix and pins
+// the SHA-256 of every il-<config>.txt it writes, so a change to how
+// the final IL is captured cannot change a byte of the corpus.
+func TestArchivedILGolden(t *testing.T) {
+	matrix := driver.DifferentialConfigurations(false)
+	r := DiffSeed(7, matrix, 0)
+	sub, err := WriteArtifacts(t.TempDir(), r, r.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, nc := range matrix {
+		name := "il-" + nc.Name + ".txt"
+		data, err := os.ReadFile(filepath.Join(sub, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("%s %x", name, sha256.Sum256(data)))
+	}
+	raw, err := os.ReadFile(archivedILPath)
+	if err != nil {
+		t.Fatalf("read golden digests: %v", err)
+	}
+	if want := strings.TrimSpace(string(raw)); strings.Join(got, "\n") != want {
+		t.Errorf("archived IL digests:\n%s\nwant:\n%s", strings.Join(got, "\n"), want)
 	}
 }
