@@ -17,15 +17,15 @@
 //	                           and static IR deltas per pass)
 //	-dump-ir pass|all          print the IL after the named pass (or
 //	                           after every pass)
-//	-json                      emit the whole compilation record — pass
-//	                           events, promotion and allocation
+//	-json                      emit the whole compilation record — one
+//	                           row per pass, promotion and allocation
 //	                           statistics — as one JSON object
 //	-trace-out FILE            write the compile's hierarchical span
-//	                           tree (compile → passes → per-function
-//	                           middle-end work items on their workers →
-//	                           analysis fixpoints) as Chrome
-//	                           trace_event JSON; open the file in
-//	                           about:tracing or ui.perfetto.dev
+//	                           tree (compile → whole-module passes, and
+//	                           per-function middle-end work items with
+//	                           their pass spans on the worker threads)
+//	                           as Chrome trace_event JSON; open the
+//	                           file in about:tracing or ui.perfetto.dev
 //	-check SPEC                run the internal/check lint passes:
 //	                           "module" runs the full registry once
 //	                           after the pipeline, "pass" after the
@@ -38,6 +38,9 @@
 //	-certify                   re-prove every promotion certificate
 //	                           with the independent region-soundness
 //	                           verifier right after promotion
+//
+// -trace, -dump-ir and -json print the per-pass rows that the
+// compile's tracer folds from its pass spans.
 //
 // The promotion and allocation summaries always follow the IL as
 // ";"-prefixed comment lines, so downstream IL consumers can skip them.
@@ -117,15 +120,13 @@ func main() {
 	cfg.CheckPasses = checkPasses
 	cfg.Certify = *certifyFlag
 
-	// Observe the pipeline whenever any telemetry output was asked for.
-	var pipe *obs.Pipeline
+	// Trace the pipeline whenever any telemetry output was asked for.
+	var tr *obs.Tracer
 	if *trace || *dumpIR != "" || *jsonOut || *traceOut != "" {
-		pipe = &obs.Pipeline{DumpPass: *dumpIR}
+		tr = obs.NewTracer()
+		tr.DumpPass = *dumpIR
 	}
-	if *traceOut != "" {
-		pipe.Tracer = obs.NewTracer()
-	}
-	c, err := driver.Compile(path, string(src), cfg, pipe)
+	c, err := driver.Compile(path, string(src), cfg, tr)
 	if err != nil {
 		var ce *driver.CheckError
 		if errors.As(err, &ce) {
@@ -140,13 +141,14 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, pipe.Tracer); err != nil {
+		if err := tr.WriteChromeTraceFile(*traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "rpcc:", err)
 			os.Exit(1)
 		}
 	}
+	rows := tr.Passes()
 	if *jsonOut {
-		if err := writeJSON(path, cfg, c, pipe); err != nil {
+		if err := writeJSON(path, cfg, c, rows); err != nil {
 			fmt.Fprintln(os.Stderr, "rpcc:", err)
 			os.Exit(1)
 		}
@@ -162,20 +164,21 @@ func main() {
 		return
 	}
 	if *trace {
-		fmt.Print(pipe.FormatTable())
+		fmt.Print(obs.FormatTable(rows))
 	}
 	if *dumpIR != "" {
 		dumped := 0
-		for _, e := range pipe.Events {
-			if e.IRDump == "" {
-				continue
+		var names []string
+		for _, e := range rows {
+			names = append(names, e.Name)
+			if e.IRDump != "" {
+				fmt.Printf(";; IL after pass %d (%s)\n%s\n", e.Index, e.Name, e.IRDump)
+				dumped++
 			}
-			fmt.Printf(";; IL after pass %d (%s)\n%s\n", e.Index, e.Name, e.IRDump)
-			dumped++
 		}
 		if dumped == 0 {
 			fmt.Fprintf(os.Stderr, "rpcc: -dump-ir: no pass named %q ran (passes: %s)\n",
-				*dumpIR, strings.Join(pipe.PassNames(), " "))
+				*dumpIR, strings.Join(names, " "))
 			os.Exit(2)
 		}
 	}
@@ -198,36 +201,22 @@ func printFooter(c *driver.Compilation) {
 
 // record is the -json output shape: one compilation, fully described.
 type record struct {
-	File     string           `json:"file"`
-	Analysis string           `json:"analysis"`
-	Promote  bool             `json:"promote"`
-	Passes   []*obs.PassEvent `json:"passes"`
+	File     string          `json:"file"`
+	Analysis string          `json:"analysis"`
+	Promote  bool            `json:"promote"`
+	Passes   []obs.PassEvent `json:"passes"`
 	Stats    struct {
 		Promote promote.Stats  `json:"promote"`
 		Alloc   regalloc.Stats `json:"alloc"`
 	} `json:"stats"`
 }
 
-// writeTrace writes the collected span tree as Chrome trace_event
-// JSON to path.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeJSON(path string, cfg driver.Config, c *driver.Compilation, pipe *obs.Pipeline) error {
+func writeJSON(path string, cfg driver.Config, c *driver.Compilation, rows []obs.PassEvent) error {
 	rec := record{
 		File:     path,
 		Analysis: cfg.Analysis.String(),
 		Promote:  cfg.Promote,
-		Passes:   pipe.Events,
+		Passes:   rows,
 	}
 	rec.Stats.Promote = c.Promote
 	rec.Stats.Alloc = c.Alloc

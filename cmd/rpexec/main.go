@@ -131,16 +131,16 @@ func main() {
 	if *metrics {
 		obs.EnableMetrics()
 	}
-	var pipe *obs.Pipeline
+	var tr *obs.Tracer
 	if *traceOut != "" {
-		pipe = &obs.Pipeline{Tracer: obs.NewTracer()}
+		tr = obs.NewTracer()
 	}
-	c, err := driver.Compile(path, string(src), cfg, pipe)
+	c, err := driver.Compile(path, string(src), cfg, tr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rpexec:", err)
 		os.Exit(1)
 	}
-	esp := pipe.StartSpan("execute", "interp", 0).Label("engine", engine.String())
+	esp := tr.Start("execute", "interp", 0).Label("engine", engine.String())
 	res, err := c.Execute(interp.Options{MaxSteps: *maxSteps, Profile: *profile, Engine: engine, Sanitize: *sanitize, NoCounts: *noCounts})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rpexec:", err)
@@ -148,7 +148,7 @@ func main() {
 	}
 	esp.Arg("ops", res.Counts.Ops).Arg("loads", res.Counts.Loads).Arg("stores", res.Counts.Stores).End()
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, pipe.Tracer); err != nil {
+		if err := tr.WriteChromeTraceFile(*traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "rpexec:", err)
 			os.Exit(1)
 		}
@@ -172,18 +172,4 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// writeTrace writes the collected span tree as Chrome trace_event
-// JSON to path.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -121,13 +121,13 @@ func RunScale(o ScaleOptions) (*ScaleReport, error) {
 // the compilation. sccs is the component count the pipeline's first
 // MOD/REF pass reported.
 func compileScale(name, src string, cfg driver.Config) (*driver.Compilation, ScalePhase, int, error) {
-	pipe := &obs.Pipeline{}
-	c, err := driver.Compile(name, src, cfg, pipe)
+	tr := obs.NewTracer()
+	c, err := driver.Compile(name, src, cfg, tr)
 	if err != nil {
 		return nil, ScalePhase{}, 0, err
 	}
 	ph := ScalePhase{SCCsSolved: c.Analysis.SCCsSolved, SCCsCached: c.Analysis.SCCsCached}
-	for _, e := range pipe.Events {
+	for _, e := range tr.Passes() {
 		if e.Name == driver.PassModRef {
 			return c, ph, int(e.Extra["sccs_solved"] + e.Extra["sccs_cached"]), nil
 		}

@@ -535,8 +535,8 @@ func countMetrics(r *Result, diverged bool) {
 // WriteArtifacts archives a divergent result under dir/seed<NNN>:
 // the generating source (prog.c), the reduced reproducer (reduced.c),
 // the divergence summary with a repro command naming the run's
-// oracles (repro.txt), and the final IL of each configuration as
-// captured by the observability pipeline (il-<config>.txt). When the
+// oracles (repro.txt), and the final IL of each configuration
+// (il-<config>.txt). When the
 // incremental oracle fired, both program variants (base.c, mutated.c)
 // and the first diverging IL pair (il-warm.txt, il-scratch.txt) join
 // them. It returns the artifact directory.
@@ -576,15 +576,12 @@ func WriteArtifacts(dir string, r *Result, reduced string) (string, error) {
 	return sub, nil
 }
 
-// finalIL compiles src under one configuration with the observability
-// pipeline capturing the IL after the final verification pass.
+// finalIL compiles src under one configuration and prints the final
+// IL (what the last pass, verify, checked).
 func finalIL(filename, src string, nc driver.NamedConfig) (string, error) {
-	pipe := &obs.Pipeline{DumpPass: driver.PassVerify}
-	if _, err := driver.Compile(filename, src, nc.Config, pipe); err != nil {
+	c, err := driver.CompileSource(filename, src, nc.Config)
+	if err != nil {
 		return "", err
 	}
-	if ev := pipe.Event(driver.PassVerify); ev != nil && ev.IRDump != "" {
-		return ev.IRDump, nil
-	}
-	return "", fmt.Errorf("no IL captured")
+	return ir.FormatModule(c.Module), nil
 }

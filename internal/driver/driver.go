@@ -8,16 +8,15 @@
 // {MOD/REF, points-to} × {promotion off, promotion on}.
 //
 // The pipeline is an explicit pass manager: each configuration expands
-// to a named pass list (see Config.Passes), and an optional
-// obs.Pipeline observer records per-pass wall time, static IR deltas,
-// and pass statistics for every stage it runs.
+// to a named pass list (see Config.Passes), and an optional obs.Tracer
+// records every stage it runs as a pass span carrying wall time,
+// static IR snapshots, and pass statistics.
 package driver
 
 import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"regpromo/internal/analysis/cache"
 	"regpromo/internal/analysis/certify"
@@ -275,18 +274,17 @@ func (c *Compilation) Pressure() []certify.Pressure {
 	return out
 }
 
-// pass is one named stage of the pipeline. run is the whole-module
-// form, used for interprocedural barriers and for serial execution;
-// it returns the pass's extra statistics for the observer (may be
-// nil). fn, when non-nil, is the per-function form of the same
-// transformation: a maximal run of consecutive fn-capable passes
-// forms a group that the parallel middle end executes function by
-// function (each function walks the whole group before the next
-// barrier). tags is the function's spill-slot allocator — the shared
-// TagTable when running serially, a private ir.StagedTags when
-// running concurrently. finish, when non-nil, rebuilds the pass's
-// observer statistics from pipeState after a parallel group (used
-// where the serial extras are not a plain per-function sum).
+// pass is one named stage of the pipeline, in exactly one form. run
+// is a whole-module barrier (the interprocedural analyses, the
+// certifier, the verifier). fn is a per-function pass: a maximal run
+// of consecutive fn passes forms a group that the middle end executes
+// function by function (each function walks the whole group before
+// the next barrier). tags is the function's private spill-slot
+// allocator, committed to the shared table in function order after
+// the group. Both forms return the pass's extra statistics for the
+// tracer (may be nil); fn's are per-function and sum over the module.
+// finish, when non-nil, gives the module-wide extras instead, for a
+// pass whose statistics do not all fold with +.
 type pass struct {
 	name   string
 	run    func(s *pipeState) (map[string]int64, error)
@@ -298,11 +296,11 @@ type pass struct {
 // mutex guards the Stats fields of c during parallel groups; both
 // folds are commutative, so the accumulation order cannot show.
 type pipeState struct {
-	cfg  Config
-	c    *Compilation
-	cg   *callgraph.Graph
-	pipe *obs.Pipeline // observer, for nested analysis spans; may be nil
-	mu   sync.Mutex
+	cfg Config
+	c   *Compilation
+	cg  *callgraph.Graph
+	tr  *obs.Tracer // may be nil
+	mu  sync.Mutex
 }
 
 // Canonical pass names, in the order the full pipeline runs them.
@@ -328,32 +326,30 @@ const (
 
 // passes expands the configuration into its pass list.
 func (cfg Config) passes() []pass {
-	var ps []pass
-	ps = append(ps, pass{name: PassModRef, run: func(s *pipeState) (map[string]int64, error) {
-		s.cg = callgraph.Build(s.c.Module)
-		sp := s.pipe.StartSpan("modref.fixpoint", "analysis", 0)
+	// MOD/REF runs first and, under points-to, again after refine; the
+	// first run builds the call graph, the second reuses the one refine
+	// rebuilt.
+	modRef := pass{name: PassModRef, run: func(s *pipeState) (map[string]int64, error) {
+		if s.cg == nil {
+			s.cg = callgraph.Build(s.c.Module)
+		}
 		res := modref.Analyze(s.c.Module, s.cg, cfg.AnalysisCache)
 		s.c.Analysis.SCCsSolved += res.SCCsSolved
 		s.c.Analysis.SCCsCached += res.SCCsCached
-		sp.Arg("funcs", int64(s.cg.NumFuncs())).
-			Arg("sccs_solved", int64(res.SCCsSolved)).
-			Arg("sccs_cached", int64(res.SCCsCached)).End()
 		return map[string]int64{
 			"funcs":       int64(s.cg.NumFuncs()),
 			"tags":        int64(s.c.Module.Tags.Len()),
 			"sccs_solved": int64(res.SCCsSolved),
 			"sccs_cached": int64(res.SCCsCached),
 		}, nil
-	}})
+	}}
+	ps := []pass{modRef}
 	if cfg.Analysis == PointsTo {
 		ps = append(ps, pass{name: PassPointsTo, run: func(s *pipeState) (map[string]int64, error) {
 			m := s.c.Module
-			sp := s.pipe.StartSpan("pointsto.fixpoint", "analysis", 0)
 			res := pointsto.Solve(m, s.cg, cfg.AnalysisCache, pointsto.Options{})
 			s.c.Analysis.SCCsSolved += res.SCCsSolved
 			s.c.Analysis.SCCsCached += res.SCCsCached
-			sp.Arg("steps", int64(res.Steps)).
-				Arg("sccs_cached", int64(res.SCCsCached)).End()
 			return map[string]int64{
 				"steps":       int64(res.Steps),
 				"tags":        int64(m.Tags.Len()),
@@ -371,52 +367,21 @@ func (cfg Config) passes() []pass {
 			s.cg = callgraph.Build(m)
 			return map[string]int64{"changed": int64(changed)}, nil
 		}})
-		ps = append(ps, pass{name: PassModRef, run: func(s *pipeState) (map[string]int64, error) {
-			sp := s.pipe.StartSpan("modref.fixpoint", "analysis", 0)
-			res := modref.Analyze(s.c.Module, s.cg, cfg.AnalysisCache)
-			s.c.Analysis.SCCsSolved += res.SCCsSolved
-			s.c.Analysis.SCCsCached += res.SCCsCached
-			sp.Arg("funcs", int64(s.cg.NumFuncs())).
-				Arg("sccs_solved", int64(res.SCCsSolved)).
-				Arg("sccs_cached", int64(res.SCCsCached)).End()
-			return map[string]int64{
-				"funcs":       int64(s.cg.NumFuncs()),
-				"tags":        int64(s.c.Module.Tags.Len()),
-				"sccs_solved": int64(res.SCCsSolved),
-				"sccs_cached": int64(res.SCCsCached),
-			}, nil
-		}})
+		ps = append(ps, modRef)
 	}
 	// The classical passes report how many rewrites they performed;
-	// surface that as the pass's "changed" statistic. Each carries
-	// both forms: the module loop for serial runs and the
-	// per-function body the parallel middle end distributes.
-	simple := func(name string, run func(*ir.Module) int, fn func(*ir.Func) int) pass {
-		return pass{
-			name: name,
-			run: func(s *pipeState) (map[string]int64, error) {
-				return map[string]int64{"changed": int64(run(s.c.Module))}, nil
-			},
-			fn: func(_ *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
-				return map[string]int64{"changed": int64(fn(f))}, nil
-			},
-		}
+	// surface that as the pass's "changed" statistic.
+	simple := func(name string, fn func(*ir.Func) int) pass {
+		return pass{name: name, fn: func(_ *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
+			return map[string]int64{"changed": int64(fn(f))}, nil
+		}}
 	}
 	if !cfg.DisableOpt {
 		ps = append(ps,
-			simple(PassConstProp, constprop.Run, constprop.Func),
-			simple(PassValnum, valnum.Run, valnum.Func),
-			simple(PassLICM, licm.Run, licm.Func),
+			simple(PassConstProp, constprop.Func),
+			simple(PassValnum, valnum.Func),
+			simple(PassLICM, licm.Func),
 		)
-	}
-	promoteExtras := func(st promote.Stats) map[string]int64 {
-		return map[string]int64{
-			"scalar_promotions":  int64(st.ScalarPromotions),
-			"pointer_promotions": int64(st.PointerPromotions),
-			"refs_rewritten":     int64(st.RefsRewritten),
-			"loads_inserted":     int64(st.LoadsInserted),
-			"stores_inserted":    int64(st.StoresInserted),
-		}
 	}
 	promoteOpts := promote.Options{
 		Pointer:             cfg.PointerPromote,
@@ -424,52 +389,36 @@ func (cfg Config) passes() []pass {
 		PressureLimit:       cfg.Throttle,
 	}
 	if cfg.Promote {
-		// Static register pressure is measured right after each
-		// function is promoted: the regions' PromotedReg names are
-		// still virtual and the promoted copies have not yet been
-		// coalesced away, so the count reflects the promoter's own
-		// demand (the quantity the paper's water anecdote is about).
-		recordPressure := func(s *pipeState, f *ir.Func, regions []promote.Region) {
-			reports := certify.MeasurePressure(f, regions, cfg.K)
-			if len(reports) == 0 {
-				return
-			}
+		ps = append(ps, pass{name: PassPromote, fn: func(s *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
+			st := promote.Func(s.c.Module, f, promoteOpts)
+			// Static register pressure is measured right after the
+			// function is promoted: the regions' PromotedReg names are
+			// still virtual and the promoted copies have not yet been
+			// coalesced away, so the count reflects the promoter's own
+			// demand (the quantity the paper's water anecdote is about).
+			reports := certify.MeasurePressure(f, st.Regions, cfg.K)
 			s.mu.Lock()
-			if s.c.pressureByFunc == nil {
-				s.c.pressureByFunc = make(map[string][]certify.Pressure)
-			}
-			s.c.pressureByFunc[f.Name] = reports
-			s.mu.Unlock()
-		}
-		ps = append(ps, pass{
-			name: PassPromote,
-			run: func(s *pipeState) (map[string]int64, error) {
-				st := promote.Run(s.c.Module, promoteOpts)
-				s.c.Promote = st
-				for _, f := range s.c.Module.FuncsInOrder() {
-					recordPressure(s, f, st.Regions)
+			s.c.Promote.Add(st)
+			if len(reports) > 0 {
+				if s.c.pressureByFunc == nil {
+					s.c.pressureByFunc = make(map[string][]certify.Pressure)
 				}
-				return promoteExtras(st), nil
-			},
-			fn: func(s *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
-				st := promote.Func(s.c.Module, f, promoteOpts)
-				s.mu.Lock()
-				s.c.Promote.Add(st)
-				s.mu.Unlock()
-				recordPressure(s, f, st.Regions)
-				return nil, nil
-			},
-			finish: func(s *pipeState) map[string]int64 { return promoteExtras(s.c.Promote) },
-		})
+				s.c.pressureByFunc[f.Name] = reports
+			}
+			s.mu.Unlock()
+			return map[string]int64{
+				"scalar_promotions":  int64(st.ScalarPromotions),
+				"pointer_promotions": int64(st.PointerPromotions),
+				"refs_rewritten":     int64(st.RefsRewritten),
+				"loads_inserted":     int64(st.LoadsInserted),
+				"stores_inserted":    int64(st.StoresInserted),
+			}, nil
+		}})
 		if cfg.Certify {
-			// A run-only barrier: the verifier needs every function's
-			// certificates and the whole module's call structure, so
-			// the parallel middle end parks here between its groups.
+			// A barrier: the verifier needs every function's
+			// certificates and the whole module's call structure.
 			ps = append(ps, pass{name: PassCertify, run: func(s *pipeState) (map[string]int64, error) {
-				sp := s.pipe.StartSpan("certify.verify", "analysis", 0)
 				sum := certify.Verify(s.c.Module, s.c.Promote.Regions)
-				sp.Arg("regions", int64(sum.Regions)).
-					Arg("violations", int64(sum.Violations)).End()
 				extras := map[string]int64{
 					"regions":    int64(sum.Regions),
 					"proved":     int64(sum.Proved),
@@ -484,23 +433,17 @@ func (cfg Config) passes() []pass {
 		}
 	}
 	if cfg.DSE {
-		ps = append(ps, pass{
-			name: PassDSE,
-			run: func(s *pipeState) (map[string]int64, error) {
-				return map[string]int64{"changed": int64(dse.Run(s.c.Module))}, nil
-			},
-			fn: func(s *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
-				return map[string]int64{"changed": int64(dse.Func(s.c.Module, f))}, nil
-			},
-		})
+		ps = append(ps, pass{name: PassDSE, fn: func(s *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
+			return map[string]int64{"changed": int64(dse.Func(s.c.Module, f))}, nil
+		}})
 	}
 	if !cfg.DisableOpt {
 		ps = append(ps,
-			simple(PassPRE, pre.Run, pre.Func),
-			simple(PassValnumLate, valnum.Run, valnum.Func),
-			simple(PassCopyProp, copyprop.Run, copyprop.Func),
-			simple(PassDCE, dce.Run, dce.Func),
-			simple(PassClean, clean.Run, clean.Func),
+			simple(PassPRE, pre.Func),
+			simple(PassValnumLate, valnum.Func),
+			simple(PassCopyProp, copyprop.Func),
+			simple(PassDCE, dce.Func),
+			simple(PassClean, clean.Func),
 		)
 	}
 	allocExtras := func(st regalloc.Stats) map[string]int64 {
@@ -516,14 +459,6 @@ func (cfg Config) passes() []pass {
 	if !cfg.NoAlloc {
 		ps = append(ps, pass{
 			name: PassRegalloc,
-			run: func(s *pipeState) (map[string]int64, error) {
-				st, err := regalloc.Run(s.c.Module, regalloc.Options{K: s.cfg.K})
-				if err != nil {
-					return nil, err
-				}
-				s.c.Alloc = st
-				return allocExtras(st), nil
-			},
 			fn: func(s *pipeState, f *ir.Func, tags ir.TagAlloc) (map[string]int64, error) {
 				st, err := regalloc.Func(f, regalloc.Options{K: s.cfg.K}, tags)
 				if err != nil {
@@ -532,8 +467,9 @@ func (cfg Config) passes() []pass {
 				s.mu.Lock()
 				s.c.Alloc.Add(st)
 				s.mu.Unlock()
-				return nil, nil
+				return allocExtras(st), nil
 			},
+			// Rounds and MaxLive fold with max across functions.
 			finish: func(s *pipeState) map[string]int64 { return allocExtras(s.c.Alloc) },
 		})
 	}
@@ -548,7 +484,7 @@ func (cfg Config) passes() []pass {
 
 // Passes returns the configuration's pass names in execution order
 // (the front end, which runs before the module exists, is reported by
-// the observer as "frontend" ahead of these).
+// the tracer as "frontend" ahead of these).
 func (cfg Config) Passes() []string {
 	ps := cfg.passes()
 	names := make([]string, len(ps))
@@ -558,7 +494,7 @@ func (cfg Config) Passes() []string {
 	return names
 }
 
-// PassFrontend is the observer's name for the parse+sema+irgen stage.
+// PassFrontend is the pass name of the parse+sema+irgen stage.
 const PassFrontend = "frontend"
 
 // CompileSource runs the full pipeline over one C source file.
@@ -566,48 +502,89 @@ func CompileSource(filename, src string, cfg Config) (*Compilation, error) {
 	return Compile(filename, src, cfg, nil)
 }
 
-// Compile runs the full pipeline under an observer. pipe may be nil,
-// in which case no telemetry is recorded (identical to CompileSource).
-// Every pass — including the front end, reported as "frontend" — is
-// timed and bracketed with static IR snapshots on the observer.
+// Compile runs the full pipeline under a tracer. tr may be nil, in
+// which case no telemetry is recorded (identical to CompileSource).
+// Every pass — including the front end, reported as "frontend" at
+// index 0 — is recorded as a pass span; tr.Passes() folds them into
+// one row per pass.
 //
 // To compile one source under several configurations, run the front
 // end once with ParseSource and fork each pipeline with
 // Frontend.Compile instead.
-func Compile(filename, src string, cfg Config, pipe *obs.Pipeline) (*Compilation, error) {
-	sp := pipe.StartSpan("compile", "compile", 0)
+func Compile(filename, src string, cfg Config, tr *obs.Tracer) (*Compilation, error) {
+	sp := tr.Start("compile", "compile", 0)
 	defer sp.End()
-	fe, err := ParseSourceObserved(filename, src, pipe)
-	if err != nil {
-		return nil, err
-	}
 	// Single-use compile: the pipeline owns the module outright, so no
 	// clone is forked.
-	c := &Compilation{Module: fe.module}
-	return compilePasses(c, cfg, pipe)
+	s := &pipeState{cfg: cfg, c: &Compilation{}, tr: tr}
+	if err := s.stage(PassFrontend, 0, func() (map[string]int64, error) {
+		m, err := frontend(filename, src)
+		s.c.Module = m
+		return nil, err
+	}); err != nil {
+		return nil, err
+	}
+	return s.compilePasses()
 }
 
-// compilePasses runs cfg's pass list over c.Module under the observer.
+// stage runs one whole-module stage as pipeline pass index. With a
+// tracer it is a pass span on the coordinating thread, bracketed by
+// module snapshots taken outside the span's clock.
+func (s *pipeState) stage(name string, index int, run func() (map[string]int64, error)) error {
+	if s.tr == nil {
+		if _, err := run(); err != nil {
+			return err
+		}
+		countPasses(1)
+		return nil
+	}
+	before := obs.Measure(s.c.Module)
+	sp := s.tr.Start(name, "pass", 0)
+	extra, err := run()
+	sp = sp.Stop().AddArgs(extra)
+	if err != nil {
+		sp.End()
+		return err
+	}
+	m := s.c.Module
+	sp.Pass(obs.PassAttrs{Index: index, Before: before, After: obs.Measure(m), IRDump: s.tr.DumpIR(name, m)}).End()
+	countPasses(1)
+	return nil
+}
+
+// countPasses adds n completed passes to the compile.passes metric.
+func countPasses(n int) {
+	if r := obs.Metrics(); r != nil {
+		r.Counter("compile.passes").Add(int64(n))
+	}
+}
+
+// compilePasses runs cfg's pass list over c.Module, numbering the
+// passes from 1 (index 0 is the front-end stage).
 //
-// Passes with a per-function form are batched into maximal groups and
+// Consecutive per-function passes are batched into maximal groups and
 // distributed across functions by the parallel middle end; the
 // interprocedural analyses and the verifier stay whole-module
-// barriers between groups. Two situations force the classic serial
-// pass-by-pass walk instead: Workers == 1 (the caller asked for it),
-// and an observer that wants IL dumps — a per-pass module dump needs
-// the whole module parked at that pass boundary, a state pipelined
-// execution never materializes.
-func compilePasses(c *Compilation, cfg Config, pipe *obs.Pipeline) (*Compilation, error) {
-	s := &pipeState{cfg: cfg, c: c, pipe: pipe}
+// barriers between groups. Three situations force the serial walk,
+// where each per-function pass is a one-pass group run in function
+// order: Workers == 1 (the caller asked for it), CheckEveryPass, and
+// a tracer that wants IL dumps. The last two need the whole module
+// parked at every pass boundary, a state pipelined execution never
+// materializes.
+func (s *pipeState) compilePasses() (*Compilation, error) {
+	cfg, c := s.cfg, s.c
 	if r := obs.Metrics(); r != nil {
 		r.Counter("compile.compiles").Inc()
+		r.Counter("compile.functions").Add(int64(len(c.Module.FuncOrder)))
 	}
-	if pipe != nil {
-		pipe.Tracer.NameThread(0, "main")
-	}
+	s.tr.NameThread(0, "main")
 	ps := cfg.passes()
 	serial := cfg.Workers == 1 || cfg.Check == CheckEveryPass ||
-		(pipe != nil && pipe.DumpPass != "")
+		(s.tr != nil && s.tr.DumpPass != "")
+	workers := cfg.Workers
+	if serial {
+		workers = 1
+	}
 	analysisDone := false
 	if cfg.Check == CheckEveryPass {
 		// Lint the front end's output before any pass touches it.
@@ -616,21 +593,18 @@ func compilePasses(c *Compilation, cfg Config, pipe *obs.Pipeline) (*Compilation
 		}
 	}
 	for i := 0; i < len(ps); {
-		if !serial && ps[i].fn != nil {
-			j := i
-			for j < len(ps) && ps[j].fn != nil {
+		j := i + 1
+		var err error
+		if ps[i].fn == nil {
+			run := ps[i].run
+			err = s.stage(ps[i].name, i+1, func() (map[string]int64, error) { return run(s) })
+		} else {
+			for !serial && j < len(ps) && ps[j].fn != nil {
 				j++
 			}
-			if err := runGroup(s, ps[i:j], pipe); err != nil {
-				return nil, err
-			}
-			i = j
-			continue
+			err = s.runGroup(i+1, ps[i:j], workers)
 		}
-		run := ps[i].run
-		if err := pipe.Observe(ps[i].name, c.Module, func() (map[string]int64, error) {
-			return run(s)
-		}); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		if ps[i].name == PassModRef {
@@ -641,7 +615,7 @@ func compilePasses(c *Compilation, cfg Config, pipe *obs.Pipeline) (*Compilation
 				return nil, err
 			}
 		}
-		i++
+		i = j
 	}
 	if cfg.Check == CheckModule {
 		if err := s.runChecks("module", true); err != nil {
@@ -673,77 +647,57 @@ func (s *pipeState) runChecks(stage string, analysisDone bool) error {
 	return nil
 }
 
-// funcStage is one (function, pass) telemetry record from a parallel
-// group.
-type funcStage struct {
-	before, after obs.Snapshot
-	durNS         int64
-	extra         map[string]int64
-}
-
-// runGroup executes a maximal run of per-function passes across the
-// module's functions on the worker pool. Each function walks the
-// whole group — function A can be in regalloc while function B is
-// still in constprop — so the group's wall time is bounded by the
-// slowest function, not by the slowest pass.
+// runGroup executes a run of per-function passes, numbered from
+// first, across the module's functions on up to workers goroutines.
+// Each function walks the whole group — function A can be in regalloc
+// while function B is still in constprop — so the group's wall time is
+// bounded by the slowest function, not by the slowest pass.
 //
 // Determinism: the passes in a group only read shared state (the tag
 // table, call-graph summaries baked into instructions) and mutate
 // their own function, so the produced IL is bit-identical to a serial
-// run. The two exceptions are handled explicitly. Spill-slot tags
-// would be allocated from the shared table in racy order; instead
-// each function stages its tags privately (ir.StagedTags) and the
-// stagings are committed in function order afterwards, reproducing
-// the serial numbering. Observer events would interleave; instead
-// each worker measures its own function around every stage and the
-// per-function records are merged in function order — Measure
-// decomposes over functions, so the merged Before/After equal the
-// whole-module snapshots a serial run would have taken.
-func runGroup(s *pipeState, group []pass, pipe *obs.Pipeline) error {
+// run. Spill-slot tags would be allocated from the shared table in
+// racy order; instead each function stages its tags privately
+// (ir.StagedTags) and the stagings are committed in function order
+// afterwards, reproducing the serial numbering. Under a tracer each
+// function's pass runs in its own pass span bracketed by that
+// function's snapshots, and once the group is done each pass gets a
+// summary span on the coordinating thread; Tracer.Passes folds them
+// back into one row per pass.
+func (s *pipeState) runGroup(first int, group []pass, workers int) error {
 	m := s.c.Module
 	fns := m.FuncsInOrder()
-	recs := make([][]funcStage, len(fns))
 	staged := make([]*ir.StagedTags, len(fns))
-	var tr *obs.Tracer
-	if pipe != nil {
-		tr = pipe.Tracer
-	}
-	if r := obs.Metrics(); r != nil {
-		r.Counter("compile.functions").Add(int64(len(fns)))
-	}
-	if _, err := par.ParallelMapWorker(len(fns), s.cfg.Workers, func(worker, i int) (struct{}, error) {
+	tr := s.tr
+	if _, err := par.ParallelMapWorker(len(fns), workers, func(worker, i int) (struct{}, error) {
 		fn := fns[i]
 		st := &ir.StagedTags{}
 		staged[i] = st
-		rs := make([]funcStage, len(group))
+		if tr == nil {
+			for _, p := range group {
+				if _, err := p.fn(s, fn, st); err != nil {
+					return struct{}{}, err
+				}
+			}
+			return struct{}{}, nil
+		}
 		// Middle-end work items are attributed to logical thread
 		// worker+1 (tid 0 is the coordinating goroutine).
 		tid := worker + 1
-		if tr != nil {
-			tr.NameThread(tid, fmt.Sprintf("worker %d", worker))
-		}
+		tr.NameThread(tid, fmt.Sprintf("worker %d", worker))
 		fsp := tr.Start(fn.Name, "middleend", tid).Arg("worker", int64(worker))
-		for j := range group {
-			if pipe == nil {
-				if _, err := group[j].fn(s, fn, st); err != nil {
-					return struct{}{}, err
-				}
-				continue
-			}
-			psp := tr.Start(group[j].name, "pass", tid).Label("func", fn.Name)
-			rs[j].before = obs.MeasureFunc(fn)
-			start := time.Now()
-			extra, err := group[j].fn(s, fn, st)
-			rs[j].durNS = time.Since(start).Nanoseconds()
-			psp.AddArgs(extra).End()
+		for j, p := range group {
+			before := obs.MeasureFunc(fn)
+			sp := tr.Start(p.name, "pass", tid).Label("func", fn.Name)
+			extra, err := p.fn(s, fn, st)
+			sp = sp.Stop().AddArgs(extra)
 			if err != nil {
+				sp.End()
 				return struct{}{}, err
 			}
-			rs[j].after = obs.MeasureFunc(fn)
-			rs[j].extra = extra
+			sp.Pass(obs.PassAttrs{Index: first + j, Before: before, After: obs.MeasureFunc(fn)}).End()
 		}
 		fsp.End()
-		recs[i] = rs
 		return struct{}{}, nil
 	}); err != nil {
 		return err
@@ -758,28 +712,14 @@ func runGroup(s *pipeState, group []pass, pipe *obs.Pipeline) error {
 		}
 		commitStagedTags(fn, staged[i], &m.Tags)
 	}
-
-	if pipe != nil {
-		for j := range group {
-			ev := &obs.PassEvent{Name: group[j].name}
-			var extra map[string]int64
-			for i := range fns {
-				r := &recs[i][j]
-				ev.Before = ev.Before.Add(r.before)
-				ev.After = ev.After.Add(r.after)
-				ev.DurationNS += r.durNS
-				for k, v := range r.extra {
-					if extra == nil {
-						extra = make(map[string]int64)
-					}
-					extra[k] += v
-				}
+	countPasses(len(group))
+	if tr != nil {
+		for j, p := range group {
+			sp := tr.Start(p.name, "pass", 0)
+			if p.finish != nil {
+				sp = sp.AddArgs(p.finish(s))
 			}
-			if group[j].finish != nil {
-				extra = group[j].finish(s)
-			}
-			ev.Extra = extra
-			pipe.Append(ev)
+			sp.Pass(obs.PassAttrs{Index: first + j, Summary: true, IRDump: tr.DumpIR(p.name, m)}).End()
 		}
 	}
 	return nil

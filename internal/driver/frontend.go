@@ -29,43 +29,32 @@ type Frontend struct {
 	clones atomic.Int64
 }
 
-// PassFrontendReuse is the observer's name for the fork-from-artifact
-// stage that replaces a repeated front-end run under compile-once
-// sharing. Its event carries Extra{"reused": 1, "clones": n}.
+// PassFrontendReuse is the pass name of the fork-from-artifact stage
+// that replaces a repeated front-end run under compile-once sharing.
+// Its pass span carries the args reused=1 and clones=n.
 const PassFrontendReuse = "frontend.reuse"
 
 // ParseSource runs the front end once and returns the reusable
 // artifact.
 func ParseSource(filename, src string) (*Frontend, error) {
-	return ParseSourceObserved(filename, src, nil)
-}
-
-// ParseSourceObserved is ParseSource under an observer: the front end
-// is timed and reported as the "frontend" pass, exactly as a full
-// Compile would report it. pipe may be nil.
-func ParseSourceObserved(filename, src string, pipe *obs.Pipeline) (*Frontend, error) {
-	fe := &Frontend{Filename: filename}
-	err := pipe.Observe(PassFrontend, nil, func() (map[string]int64, error) {
-		file, err := parser.Parse(filename, src)
-		if err != nil {
-			return nil, err
-		}
-		prog, err := sema.Check(file)
-		if err != nil {
-			return nil, err
-		}
-		m, err := irgen.Generate(prog)
-		if err != nil {
-			return nil, err
-		}
-		fe.module = m
-		return nil, nil
-	})
+	m, err := frontend(filename, src)
 	if err != nil {
 		return nil, err
 	}
-	patchEvent(pipe, PassFrontend, fe.module)
-	return fe, nil
+	return &Frontend{Filename: filename, module: m}, nil
+}
+
+// frontend parses, type-checks and lowers one source file to IL.
+func frontend(filename, src string) (*ir.Module, error) {
+	file, err := parser.Parse(filename, src)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := sema.Check(file)
+	if err != nil {
+		return nil, err
+	}
+	return irgen.Generate(prog)
 }
 
 // NewModule forks a fresh deep copy of the artifact's module for one
@@ -80,32 +69,18 @@ func (fe *Frontend) NewModule() *ir.Module {
 func (fe *Frontend) Clones() int64 { return fe.clones.Load() }
 
 // Compile forks a pipeline from the artifact: the module is cloned
-// (reported to the observer as "frontend.reuse" — the stage that
+// (reported to the tracer as "frontend.reuse" — the stage that
 // replaces a repeated front-end run) and the configuration's pass list
-// runs over the clone. Safe to call concurrently.
-func (fe *Frontend) Compile(cfg Config, pipe *obs.Pipeline) (*Compilation, error) {
-	sp := pipe.StartSpan("compile", "compile", 0)
+// runs over the clone. tr may be nil. Safe to call concurrently.
+func (fe *Frontend) Compile(cfg Config, tr *obs.Tracer) (*Compilation, error) {
+	sp := tr.Start("compile", "compile", 0)
 	defer sp.End()
-	c := &Compilation{}
-	err := pipe.Observe(PassFrontendReuse, nil, func() (map[string]int64, error) {
-		c.Module = fe.NewModule()
+	s := &pipeState{cfg: cfg, c: &Compilation{}, tr: tr}
+	if err := s.stage(PassFrontendReuse, 0, func() (map[string]int64, error) {
+		s.c.Module = fe.NewModule()
 		return map[string]int64{"reused": 1, "clones": fe.Clones()}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	patchEvent(pipe, PassFrontendReuse, c.Module)
-	return compilePasses(c, cfg, pipe)
-}
-
-// patchEvent fixes up an event observed against a nil module (the
-// module did not exist before the stage ran): the after-side snapshot
-// and, when requested, the IL dump are taken against the result.
-func patchEvent(pipe *obs.Pipeline, name string, m *ir.Module) {
-	if ev := pipe.Event(name); ev != nil {
-		ev.After = obs.Measure(m)
-		if pipe.DumpPass == obs.DumpAll || pipe.DumpPass == name {
-			ev.IRDump = ir.FormatModule(m)
-		}
-	}
+	return s.compilePasses()
 }

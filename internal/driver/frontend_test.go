@@ -58,7 +58,7 @@ func TestFrontendSharingMatchesRecompilation(t *testing.T) {
 	}
 }
 
-// TestFrontendReuseTelemetry checks the observer sees a
+// TestFrontendReuseTelemetry checks the tracer sees a
 // "frontend.reuse" stage, carrying the reuse counters, in place of a
 // repeated front-end run.
 func TestFrontendReuseTelemetry(t *testing.T) {
@@ -66,21 +66,22 @@ func TestFrontendReuseTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := &obs.Pipeline{}
-	if _, err := fe.Compile(Config{Analysis: ModRef, Promote: true}, pipe); err != nil {
+	tr := obs.NewTracer()
+	if _, err := fe.Compile(Config{Analysis: ModRef, Promote: true}, tr); err != nil {
 		t.Fatal(err)
 	}
-	ev := pipe.Event(PassFrontendReuse)
+	rows := tr.Passes()
+	ev := passRow(rows, PassFrontendReuse)
 	if ev == nil {
-		t.Fatalf("no %s event; passes: %v", PassFrontendReuse, pipe.PassNames())
+		t.Fatalf("no %s row; passes: %v", PassFrontendReuse, passNames(rows))
 	}
 	if ev.Extra["reused"] != 1 || ev.Extra["clones"] != 1 {
 		t.Fatalf("reuse telemetry = %v, want reused=1 clones=1", ev.Extra)
 	}
 	if ev.After.Instrs == 0 {
-		t.Fatal("reuse event's after-snapshot is empty; the cloned module was not measured")
+		t.Fatal("reuse row's after-snapshot is empty; the cloned module was not measured")
 	}
-	if pipe.Event(PassFrontend) != nil {
+	if passRow(rows, PassFrontend) != nil {
 		t.Fatal("shared compile must not re-run the frontend")
 	}
 }

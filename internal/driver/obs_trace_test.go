@@ -3,6 +3,7 @@ package driver_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"regpromo/internal/bench"
@@ -21,14 +22,14 @@ func TestTracedParallelCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := &obs.Pipeline{Tracer: obs.NewTracer()}
+	tr := obs.NewTracer()
 	cfg := driver.Config{Analysis: driver.PointsTo, Promote: true, Workers: 4}
-	if _, err := fe.Compile(cfg, pipe); err != nil {
+	if _, err := fe.Compile(cfg, tr); err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
-	if err := pipe.Tracer.WriteChromeTrace(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var trace struct {
@@ -90,25 +91,65 @@ func TestTracedParallelCompile(t *testing.T) {
 		t.Error("no thread_name metadata")
 	}
 
-	// The span stream must include the analysis fixpoints the driver
-	// wraps.
-	var sawFixpoint bool
-	for _, sp := range pipe.Tracer.Spans() {
-		if sp.Cat == "analysis" {
-			sawFixpoint = true
+	// The analysis pass spans carry their fixpoint work as args.
+	want := map[string]string{driver.PassModRef: "sccs_solved", driver.PassPointsTo: "steps"}
+	for _, sp := range tr.Spans() {
+		if arg, ok := want[sp.Name]; ok && sp.Pass != nil {
+			if _, has := sp.Args[arg]; !has {
+				t.Errorf("%s pass span lacks %s: %v", sp.Name, arg, sp.Args)
+			}
+			delete(want, sp.Name)
 		}
 	}
-	if !sawFixpoint {
-		t.Error("no analysis fixpoint span recorded")
+	for name := range want {
+		t.Errorf("no %s pass span", name)
+	}
+}
+
+// TestMetricsIndependentOfTracing compiles one program with metrics
+// on, untraced and traced, at the default worker count and serially:
+// every run reports the same metric names and the same pass count.
+func TestMetricsIndependentOfTracing(t *testing.T) {
+	p := bench.Suite()[0]
+	collect := func(tr *obs.Tracer, workers int) (names []string, passes int64) {
+		obs.DisableMetrics()
+		r := obs.EnableMetrics()
+		defer obs.DisableMetrics()
+		if _, err := driver.Compile(p.Name+".c", bench.Source(p), driver.Config{Workers: workers}, tr); err != nil {
+			t.Fatal(err)
+		}
+		s := r.Snapshot()
+		for _, m := range s.Counters {
+			names = append(names, m.Name)
+		}
+		for _, m := range s.Gauges {
+			names = append(names, m.Name)
+		}
+		for _, h := range s.Histograms {
+			names = append(names, h.Name)
+		}
+		passes, _ = s.Counter("compile.passes")
+		return names, passes
+	}
+	want, wantPasses := collect(nil, 0)
+	if n := int64(1 + len(driver.Config{}.Passes())); wantPasses != n {
+		t.Errorf("compile.passes = %d, want %d (front end + pass list)", wantPasses, n)
+	}
+	for _, workers := range []int{0, 1} {
+		got, passes := collect(obs.NewTracer(), workers)
+		if !reflect.DeepEqual(got, want) || passes != wantPasses {
+			t.Errorf("workers=%d traced: metrics %v with %d passes, untraced %v with %d",
+				workers, got, passes, want, wantPasses)
+		}
 	}
 }
 
 // benchCompileExecute is one compile+execute of the first suite
 // program, the unit BenchmarkObsOverhead compares with observability
 // off and on.
-func benchCompileExecute(b *testing.B, fe *driver.Frontend, pipe *obs.Pipeline) {
+func benchCompileExecute(b *testing.B, fe *driver.Frontend, tr *obs.Tracer) {
 	cfg := driver.Config{Analysis: driver.ModRef, Promote: true}
-	c, err := fe.Compile(cfg, pipe)
+	c, err := fe.Compile(cfg, tr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -118,7 +159,7 @@ func benchCompileExecute(b *testing.B, fe *driver.Frontend, pipe *obs.Pipeline) 
 }
 
 // BenchmarkObsOverhead quantifies the observability tax. The "off"
-// variant is the default state — no pipeline, tracer, or metrics; the
+// variant is the default state — no tracer or metrics; the
 // acceptance bar is that it stays within noise (≤1%) of what the
 // compiler did before the span/metrics layer existed, which this
 // benchmark makes checkable against the committed BenchmarkCompileMatrix
@@ -139,7 +180,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		obs.EnableMetrics()
 		defer obs.DisableMetrics()
 		for i := 0; i < b.N; i++ {
-			benchCompileExecute(b, fe, &obs.Pipeline{Tracer: obs.NewTracer()})
+			benchCompileExecute(b, fe, obs.NewTracer())
 		}
 	})
 }

@@ -14,9 +14,9 @@ import (
 // TestParallelMatchesSerial checks the parallel middle end's core
 // contract: for every suite program under every differential
 // configuration, the IL produced with Workers=0 (one worker per CPU)
-// is byte-identical to the IL produced with Workers=1 (the classic
-// serial pass-by-pass walk), and the merged observer telemetry agrees
-// with the serial observer on everything except wall time.
+// is byte-identical to the IL produced with Workers=1 (the serial
+// pass-by-pass walk), and the two tracers' pass views agree on
+// everything except wall time.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, p := range bench.Suite() {
 		fe, err := driver.ParseSource(p.Name+".c", bench.Source(p))
@@ -33,17 +33,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 				// serial loop and test nothing.
 				parallelCfg.Workers = 4
 
-				// Both observers carry live tracers: span collection
-				// must never perturb the compile (in particular it
-				// must not force the parallel middle end onto its
-				// serial fallback).
-				serialPipe := obs.Pipeline{Tracer: obs.NewTracer()}
-				parallelPipe := obs.Pipeline{Tracer: obs.NewTracer()}
-				sc, err := fe.Compile(serialCfg, &serialPipe)
+				// Span collection must never perturb the compile (in
+				// particular it must not force the parallel middle
+				// end onto its serial fallback).
+				serialTr, parallelTr := obs.NewTracer(), obs.NewTracer()
+				sc, err := fe.Compile(serialCfg, serialTr)
 				if err != nil {
 					t.Fatalf("serial compile: %v", err)
 				}
-				pc, err := fe.Compile(parallelCfg, &parallelPipe)
+				pc, err := fe.Compile(parallelCfg, parallelTr)
 				if err != nil {
 					t.Fatalf("parallel compile: %v", err)
 				}
@@ -59,12 +57,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 					t.Errorf("alloc stats differ: serial %+v, parallel %+v", sc.Alloc, pc.Alloc)
 				}
 
-				if len(serialPipe.Events) != len(parallelPipe.Events) {
-					t.Fatalf("event counts differ: serial %v, parallel %v",
-						serialPipe.PassNames(), parallelPipe.PassNames())
+				serialRows, parallelRows := serialTr.Passes(), parallelTr.Passes()
+				if len(serialRows) == 0 {
+					t.Fatal("the serial tracer recorded no pass rows")
 				}
-				for i, se := range serialPipe.Events {
-					pe := parallelPipe.Events[i]
+				if len(serialRows) != len(parallelRows) {
+					t.Fatalf("row counts differ: serial %d, parallel %d", len(serialRows), len(parallelRows))
+				}
+				for i, se := range serialRows {
+					pe := parallelRows[i]
 					if se.Name != pe.Name || se.Index != pe.Index {
 						t.Errorf("event %d: serial %s/%d, parallel %s/%d", i, se.Name, se.Index, pe.Name, pe.Index)
 					}
@@ -74,7 +75,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 					if se.After != pe.After {
 						t.Errorf("%s: after snapshots differ: serial %+v, parallel %+v", se.Name, se.After, pe.After)
 					}
-					// The front-end events count cumulative clone
+					// The front-end rows count cumulative clone
 					// reuse on the shared Frontend, which moves
 					// between the two compiles by construction;
 					// only the middle-end extras must agree.
@@ -85,35 +86,40 @@ func TestParallelMatchesSerial(t *testing.T) {
 						t.Errorf("%s: extras differ: serial %v, parallel %v", se.Name, se.Extra, pe.Extra)
 					}
 				}
-				if len(serialPipe.Tracer.Spans()) == 0 || len(parallelPipe.Tracer.Spans()) == 0 {
-					t.Error("a tracer recorded no spans")
-				}
 			})
 		}
 	}
 }
 
-// TestDumpPassFallsBackToSerial checks that an observer requesting IL
+// TestDumpPassFallsBackToSerial checks that a tracer requesting IL
 // dumps still gets one dump per pass with the parallel middle end
 // enabled (the driver falls back to the serial walk, which is the
-// only execution that materializes the module at each pass boundary).
+// only execution that materializes the module at each pass boundary),
+// and that the serial walk runs every function on one worker.
 func TestDumpPassFallsBackToSerial(t *testing.T) {
 	p := bench.Suite()[0]
 	fe, err := driver.ParseSource(p.Name+".c", bench.Source(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := obs.Pipeline{DumpPass: obs.DumpAll}
-	cfg := driver.Config{Analysis: driver.PointsTo, Promote: true, Workers: 0}
-	if _, err := fe.Compile(cfg, &pipe); err != nil {
+	tr := obs.NewTracer()
+	tr.DumpPass = obs.DumpAll
+	cfg := driver.Config{Analysis: driver.PointsTo, Promote: true, Workers: 4}
+	if _, err := fe.Compile(cfg, tr); err != nil {
 		t.Fatal(err)
 	}
-	if len(pipe.Events) == 0 {
-		t.Fatal("no events recorded")
+	rows := tr.Passes()
+	if len(rows) == 0 {
+		t.Fatal("no rows recorded")
 	}
-	for _, ev := range pipe.Events {
+	for _, ev := range rows {
 		if ev.IRDump == "" {
 			t.Errorf("pass %s: missing IL dump", ev.Name)
+		}
+	}
+	for _, sp := range tr.Spans() {
+		if sp.TID > 1 {
+			t.Fatalf("span %s/%s on tid %d: the serial walk uses one worker", sp.Cat, sp.Name, sp.TID)
 		}
 	}
 }

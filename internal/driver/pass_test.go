@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -25,17 +24,18 @@ int main(void) {
 }`
 
 // TestEveryPassFiresOncePerConfig compiles under each paper
-// configuration with an observer attached and checks the recorded
-// event stream is exactly the configuration's pass list (front end
-// first), with no pass repeated or skipped.
+// configuration with a tracer attached and checks the pass view is
+// exactly the configuration's pass list (front end first), with no
+// pass repeated or skipped.
 func TestEveryPassFiresOncePerConfig(t *testing.T) {
 	for _, cfg := range Configurations() {
-		pipe := &obs.Pipeline{}
-		if _, err := Compile("t.c", passTestSrc, cfg, pipe); err != nil {
+		tr := obs.NewTracer()
+		if _, err := Compile("t.c", passTestSrc, cfg, tr); err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
 		want := append([]string{PassFrontend}, cfg.Passes()...)
-		got := pipe.PassNames()
+		rows := tr.Passes()
+		got := passNames(rows)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%+v: pass stream = %v, want %v", cfg, got, want)
 		}
@@ -56,7 +56,7 @@ func TestEveryPassFiresOncePerConfig(t *testing.T) {
 				t.Errorf("%+v: pass %s fired %d times, want %d", cfg, n, c, wantCount[n])
 			}
 		}
-		for i, e := range pipe.Events {
+		for i, e := range rows {
 			if e.Index != i {
 				t.Errorf("%+v: event %s has index %d, want %d", cfg, e.Name, e.Index, i)
 			}
@@ -69,12 +69,12 @@ func TestEveryPassFiresOncePerConfig(t *testing.T) {
 // final state matches a fresh measurement of the compiled module.
 func TestPassDeltasChain(t *testing.T) {
 	for _, cfg := range Configurations() {
-		pipe := &obs.Pipeline{}
-		c, err := Compile("t.c", passTestSrc, cfg, pipe)
+		tr := obs.NewTracer()
+		c, err := Compile("t.c", passTestSrc, cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		evs := pipe.Events
+		evs := tr.Passes()
 		for i := 1; i < len(evs); i++ {
 			if evs[i].Before != evs[i-1].After {
 				t.Errorf("%+v: %s.Before = %+v, want previous pass %s.After = %+v",
@@ -94,11 +94,11 @@ func TestPassDeltasChain(t *testing.T) {
 // load/store pair keeps module totals flat, but the loop census must
 // drop — and its extra stats must carry the promotion counters.
 func TestPromotionPassVisibleInTrace(t *testing.T) {
-	pipe := &obs.Pipeline{}
-	if _, err := Compile("t.c", passTestSrc, modRefPromote(), pipe); err != nil {
+	tr := obs.NewTracer()
+	if _, err := Compile("t.c", passTestSrc, modRefPromote(), tr); err != nil {
 		t.Fatal(err)
 	}
-	ev := pipe.Event(PassPromote)
+	ev := passRow(tr.Passes(), PassPromote)
 	if ev == nil {
 		t.Fatal("no promote event recorded")
 	}
@@ -111,48 +111,73 @@ func TestPromotionPassVisibleInTrace(t *testing.T) {
 	}
 }
 
-// TestObservedCompileMatchesUnobserved: attaching the observer must
-// not change what the compiler produces.
+// TestObservedCompileMatchesUnobserved: attaching a tracer that dumps
+// every pass must not change what the compiler produces.
 func TestObservedCompileMatchesUnobserved(t *testing.T) {
 	for _, cfg := range Configurations() {
 		plain, err := CompileSource("t.c", passTestSrc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		observed, err := Compile("t.c", passTestSrc, cfg, &obs.Pipeline{DumpPass: obs.DumpAll})
+		tr := obs.NewTracer()
+		tr.DumpPass = obs.DumpAll
+		observed, err := Compile("t.c", passTestSrc, cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if obs.Measure(plain.Module) != obs.Measure(observed.Module) {
-			t.Fatalf("%+v: observer changed compilation", cfg)
+			t.Fatalf("%+v: tracing changed compilation", cfg)
 		}
 		if plain.Promote.Counters() != observed.Promote.Counters() || plain.Alloc != observed.Alloc {
-			t.Fatalf("%+v: observer changed statistics", cfg)
+			t.Fatalf("%+v: tracing changed statistics", cfg)
 		}
 	}
 }
 
-// TestDriverEventsRoundTripJSON serializes a real compilation's event
-// stream and checks it survives a JSON round trip intact.
+// TestDriverEventsRoundTripJSON serializes a real compilation's pass
+// rows and checks they survive a JSON round trip intact.
 func TestDriverEventsRoundTripJSON(t *testing.T) {
-	pipe := &obs.Pipeline{DumpPass: PassPromote}
-	if _, err := Compile("t.c", passTestSrc, modRefPromote(), pipe); err != nil {
+	tr := obs.NewTracer()
+	tr.DumpPass = PassPromote
+	if _, err := Compile("t.c", passTestSrc, modRefPromote(), tr); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := pipe.WriteJSON(&buf); err != nil {
+	rows := tr.Passes()
+	raw, err := json.Marshal(rows)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var back []*obs.PassEvent
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	var back []obs.PassEvent
+	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, pipe.Events) {
-		t.Fatal("driver event stream does not round-trip through JSON")
+	if !reflect.DeepEqual(back, rows) {
+		t.Fatal("driver pass rows do not round-trip through JSON")
 	}
-	if pipe.Event(PassPromote).IRDump == "" {
-		t.Fatal("requested promote IR dump missing")
+	for _, e := range rows {
+		if (e.IRDump != "") != (e.Name == PassPromote) {
+			t.Errorf("pass %s: IR dump present = %v, want only promote's", e.Name, e.IRDump != "")
+		}
 	}
+}
+
+// passNames lists the rows' pass names in order.
+func passNames(rows []obs.PassEvent) []string {
+	names := make([]string, len(rows))
+	for i, e := range rows {
+		names[i] = e.Name
+	}
+	return names
+}
+
+// passRow returns the first row with the given pass name, or nil.
+func passRow(rows []obs.PassEvent, name string) *obs.PassEvent {
+	for i := range rows {
+		if rows[i].Name == name {
+			return &rows[i]
+		}
+	}
+	return nil
 }
 
 // modRefPromote is the paper's principal configuration, shared by the

@@ -7,18 +7,20 @@ import (
 	"time"
 )
 
-// FormatTable renders the event stream as the per-pass trace table
+// FormatTable renders the pass rows as the per-pass trace table
 // rpcc -trace prints: one row per pass with wall time, the
 // instruction-count delta, and the static memory-operation deltas by
 // Table-1 class (negative numbers mean the pass removed operations).
-func (p *Pipeline) FormatTable() string {
-	if p == nil || len(p.Events) == 0 {
+func FormatTable(rows []PassEvent) string {
+	if len(rows) == 0 {
 		return ""
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-3s %-11s %10s %8s %8s %8s %8s %8s %9s %9s\n",
 		"#", "pass", "time", "Δinstr", "ΔsLoad", "ΔsStore", "ΔpLoad", "ΔpStore", "ΔsLd@loop", "ΔsSt@loop")
-	for _, e := range p.Events {
+	var total time.Duration
+	for _, e := range rows {
+		total += e.Duration()
 		d := e.Delta()
 		fmt.Fprintf(&sb, "%-3d %-11s %10s %8d %8d %8d %8d %8d %9d %9d\n",
 			e.Index, e.Name, fmtDuration(e.Duration()),
@@ -28,9 +30,9 @@ func (p *Pipeline) FormatTable() string {
 			fmt.Fprintf(&sb, "    %s\n", FormatExtra(e.Extra))
 		}
 	}
-	last := p.Events[len(p.Events)-1].After
+	last := rows[len(rows)-1].After
 	fmt.Fprintf(&sb, "total %s  final: funcs=%d blocks=%d instrs=%d sLoad=%d sStore=%d pLoad=%d pStore=%d in-loop: loads=%d stores=%d\n",
-		fmtDuration(p.Total()), last.Funcs, last.Blocks, last.Instrs,
+		fmtDuration(total), last.Funcs, last.Blocks, last.Instrs,
 		last.Mem.ScalarLoads, last.Mem.ScalarStores, last.Mem.PtrLoads, last.Mem.PtrStores,
 		last.Loop.Loads(), last.Loop.Stores())
 	return sb.String()

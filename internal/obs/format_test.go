@@ -5,28 +5,25 @@ import (
 	"testing"
 )
 
-// TestFormatTableEmpty checks the degenerate observers: a nil
-// pipeline and a pipeline that observed nothing both render as the
-// empty string (rpcc -trace prints nothing rather than a bare
-// header).
+// TestFormatTableEmpty checks the degenerate views: a nil tracer and
+// a tracer that recorded no pass both render as the empty string
+// (rpcc -trace prints nothing rather than a bare header).
 func TestFormatTableEmpty(t *testing.T) {
-	var nilPipe *Pipeline
-	if got := nilPipe.FormatTable(); got != "" {
-		t.Errorf("nil pipeline renders %q", got)
+	var nilTracer *Tracer
+	if got := FormatTable(nilTracer.Passes()); got != "" {
+		t.Errorf("nil tracer renders %q", got)
 	}
-	if got := (&Pipeline{}).FormatTable(); got != "" {
-		t.Errorf("empty pipeline renders %q", got)
+	if got := FormatTable(NewTracer().Passes()); got != "" {
+		t.Errorf("empty tracer renders %q", got)
 	}
 }
 
-// TestFormatTableZeroDuration checks that instantaneous passes (the
-// merged parallel middle end can record 0ns for a pass that did no
-// work) render with an explicit 0µs, not garbage.
+// TestFormatTableZeroDuration checks that instantaneous passes (a
+// per-function pass no function ran folds to 0ns) render with an
+// explicit 0µs, not garbage.
 func TestFormatTableZeroDuration(t *testing.T) {
-	p := &Pipeline{}
 	snap := Snapshot{Funcs: 1, Blocks: 1, Instrs: 3}
-	p.Append(&PassEvent{Name: "noop", DurationNS: 0, Before: snap, After: snap})
-	out := p.FormatTable()
+	out := FormatTable([]PassEvent{{Name: "noop", DurationNS: 0, Before: snap, After: snap}})
 	if !strings.Contains(out, "0µs") {
 		t.Errorf("zero-duration pass missing 0µs:\n%s", out)
 	}
@@ -35,30 +32,23 @@ func TestFormatTableZeroDuration(t *testing.T) {
 	}
 }
 
-// TestFormatTableMergedSnapshots drives FormatTable with an event
-// assembled the way the parallel middle end does it: per-function
-// snapshots folded together with Add, appended rather than observed.
-// The table's delta and final-state lines must reflect the merged
-// sums.
+// TestFormatTableMergedSnapshots drives FormatTable with a row folded
+// the way the parallel middle end records it: one pass span per
+// function, each carrying that function's snapshots. The table's
+// delta and final-state lines must reflect the merged sums.
 func TestFormatTableMergedSnapshots(t *testing.T) {
 	fnA := Snapshot{Funcs: 1, Blocks: 2, Instrs: 10, Mem: MemOps{ScalarLoads: 4, ScalarStores: 2}}
 	fnB := Snapshot{Funcs: 1, Blocks: 3, Instrs: 20, Mem: MemOps{ScalarLoads: 6, PtrStores: 1}}
-	before := fnA.Add(fnB)
-	// Promotion removes 5 scalar loads from A and 2 from B.
+	// Promotion removes 3 scalar loads from A and 4 from B.
 	afterA, afterB := fnA, fnB
 	afterA.Mem.ScalarLoads -= 3
 	afterA.Instrs -= 3
 	afterB.Mem.ScalarLoads -= 4
 	afterB.Instrs -= 4
-	p := &Pipeline{}
-	p.Append(&PassEvent{
-		Name:       "promote",
-		DurationNS: 1500,
-		Before:     before,
-		After:      afterA.Add(afterB),
-		Extra:      map[string]int64{"promotions": 2},
-	})
-	out := p.FormatTable()
+	tr := NewTracer()
+	tr.Start("promote", "pass", 1).Arg("promotions", 1).Pass(PassAttrs{Before: fnA, After: afterA}).End()
+	tr.Start("promote", "pass", 2).Arg("promotions", 1).Pass(PassAttrs{Before: fnB, After: afterB}).End()
+	out := FormatTable(tr.Passes())
 	// Δinstr −7, ΔsLoad −7 from the merged snapshots.
 	if !strings.Contains(out, "-7") {
 		t.Errorf("merged delta missing:\n%s", out)

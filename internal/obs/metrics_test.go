@@ -104,7 +104,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("interp.ops").Add(42)
 	r.Gauge("regalloc.max_live").SetMax(7)
-	r.Histogram("compile.pass_ns", DurationBucketsNS).Observe(5000)
+	r.Histogram("native.build_ns", DurationBucketsNS).Observe(5000)
 	s := r.Snapshot()
 	var buf bytes.Buffer
 	if err := s.WriteJSON(&buf); err != nil {

@@ -1,19 +1,21 @@
-// Package obs is the compiler's observability layer. A Pipeline
-// observes the pass manager (internal/driver): for every pass it
-// records wall-clock duration, static IR snapshots taken before and
+// Package obs is the compiler's observability layer: hierarchical
+// spans collected by a Tracer, and a process-wide metrics registry.
+// The pass manager (internal/driver) records every pass as a span that
+// carries its pipeline index, static IR snapshots taken before and
 // after (function/block/instruction counts plus the Table-1 memory-op
 // census: immediate and constant loads, scalar ("tagged") loads and
 // stores, and general pointer-based loads and stores), pass-specific
-// statistics folded into a flat key/value map, and — on request — a
-// full IL dump. The event stream serializes to JSON (`rpcc -json`).
+// statistics as numeric args, and — on request — a full IL dump.
+// Tracer.Passes folds those spans into the per-pass rows `rpcc -json`
+// and `rpcc -trace` print.
 //
 // The paper's evaluation (§5) is measurement end to end; this package
 // makes the pipeline itself measurable, pass by pass.
 package obs
 
 import (
-	"encoding/json"
-	"io"
+	"maps"
+	"slices"
 	"time"
 
 	"regpromo/internal/ir"
@@ -231,20 +233,21 @@ func cyclicBlocks(fn *ir.Func) map[*ir.Block]bool {
 	return out
 }
 
-// PassEvent is one pass's record in the event stream.
+// PassEvent is one pass's row in the pass view (Tracer.Passes).
 type PassEvent struct {
 	// Index is the pass's position in the pipeline, from 0.
 	Index int `json:"index"`
 	// Name identifies the pass ("promote", "regalloc", …).
 	Name string `json:"name"`
-	// DurationNS is the pass's wall-clock time in nanoseconds.
+	// DurationNS is the pass's wall-clock time in nanoseconds, summed
+	// over functions for a per-function pass.
 	DurationNS int64 `json:"duration_ns"`
 	// Before and After are the static IR snapshots bracketing the
 	// pass.
 	Before Snapshot `json:"before"`
 	After  Snapshot `json:"after"`
 	// Extra carries pass-specific statistics (promotion and
-	// allocation counters, fold into the same stream here).
+	// allocation counters, rewrite counts, analysis work).
 	Extra map[string]int64 `json:"extra,omitempty"`
 	// IRDump is the post-pass IL listing when dumping was requested.
 	IRDump string `json:"ir_dump,omitempty"`
@@ -259,127 +262,51 @@ func (e *PassEvent) Duration() time.Duration { return time.Duration(e.DurationNS
 // DumpAll requests an IR dump after every pass.
 const DumpAll = "all"
 
-// Pipeline collects pass events for one compilation. A nil *Pipeline
-// is a valid no-op observer, so unobserved compiles pay nothing.
-type Pipeline struct {
-	// DumpPass names the pass whose output IL should be captured
-	// into its event ("all" captures every pass).
-	DumpPass string
-
-	// Tracer, when non-nil, receives a hierarchical span for each
-	// observed pass (and whatever the driver nests inside them);
-	// nil keeps the pipeline span-free at zero cost.
-	Tracer *Tracer
-
-	// Events accumulate in pipeline order.
-	Events []*PassEvent
-}
-
-// StartSpan opens a span on the pipeline's tracer; with a nil
-// pipeline or nil tracer it returns a no-op zero Span.
-func (p *Pipeline) StartSpan(name, cat string, tid int) Span {
-	if p == nil {
-		return Span{}
-	}
-	return p.Tracer.Start(name, cat, tid)
-}
-
-// Observe runs one pass under observation: it snapshots m, times run,
-// snapshots again, and appends the event. run returns the pass's
-// extra statistics (may be nil). A nil receiver just runs the pass.
-func (p *Pipeline) Observe(name string, m *ir.Module, run func() (map[string]int64, error)) error {
-	if p == nil {
-		_, err := run()
-		return err
-	}
-	ev := &PassEvent{
-		Index:  len(p.Events),
-		Name:   name,
-		Before: Measure(m),
-	}
-	sp := p.Tracer.Start(name, "pass", 0)
-	start := time.Now()
-	extra, err := run()
-	ev.DurationNS = time.Since(start).Nanoseconds()
-	sp.AddArgs(extra).End()
-	if err != nil {
-		return err
-	}
-	ev.After = Measure(m)
-	ev.Extra = extra
-	recordPassMetrics(ev.DurationNS)
-	if m != nil && (p.DumpPass == DumpAll || p.DumpPass == name) {
-		ev.IRDump = ir.FormatModule(m)
-	}
-	p.Events = append(p.Events, ev)
-	return nil
-}
-
-// recordPassMetrics reports one pass completion to the process-wide
-// registry (no-op while metrics are disabled).
-func recordPassMetrics(durNS int64) {
-	r := Metrics()
-	if r == nil {
-		return
-	}
-	r.Counter("compile.passes").Inc()
-	r.Histogram("compile.pass_ns", DurationBucketsNS).Observe(durNS)
-}
-
-// Append adds a pre-assembled event to the stream, assigning its
-// Index. The driver's parallel middle end builds events by merging
-// per-function measurements in function order and emits them here,
-// through the same stream Observe feeds. A nil receiver discards the
-// event.
-func (p *Pipeline) Append(ev *PassEvent) {
-	if p == nil || ev == nil {
-		return
-	}
-	ev.Index = len(p.Events)
-	p.Events = append(p.Events, ev)
-	recordPassMetrics(ev.DurationNS)
-}
-
-// Event returns the first event with the given pass name, or nil.
-func (p *Pipeline) Event(name string) *PassEvent {
-	if p == nil {
-		return nil
-	}
-	for _, e := range p.Events {
-		if e.Name == name {
-			return e
+// Passes folds the tracer's pass spans (those carrying PassAttrs) into
+// one row per pipeline index, in index order. A module-wide pass has
+// one span. A per-function pass has one span per function plus a
+// summary span on the coordinating thread. Durations, snapshots and
+// extras sum over the per-function spans: Measure decomposes over
+// functions, so the summed snapshots are the module snapshots a
+// whole-module pass would have taken. A summary's args, when it has
+// any, are the pass's module-wide totals and replace the summed extras
+// (regalloc's rounds and max_live fold with max, not +). The rows
+// describe one compile: a tracer shared by several compiles folds
+// their passes together.
+func (t *Tracer) Passes() []PassEvent {
+	var rows []PassEvent
+	totals := map[int]map[string]int64{}
+	for _, sp := range t.Spans() {
+		p := sp.Pass
+		if p == nil {
+			continue
+		}
+		for len(rows) <= p.Index {
+			rows = append(rows, PassEvent{Index: len(rows)})
+		}
+		r := &rows[p.Index]
+		r.Name = sp.Name
+		if p.IRDump != "" {
+			r.IRDump = p.IRDump
+		}
+		if p.Summary {
+			if len(sp.Args) > 0 {
+				totals[p.Index] = maps.Clone(sp.Args)
+			}
+			continue
+		}
+		r.DurationNS += sp.DurNS
+		r.Before = r.Before.Add(p.Before)
+		r.After = r.After.Add(p.After)
+		for k, v := range sp.Args {
+			if r.Extra == nil {
+				r.Extra = make(map[string]int64)
+			}
+			r.Extra[k] += v
 		}
 	}
-	return nil
-}
-
-// PassNames lists the recorded passes in order.
-func (p *Pipeline) PassNames() []string {
-	if p == nil {
-		return nil
+	for i, extra := range totals {
+		rows[i].Extra = extra
 	}
-	names := make([]string, len(p.Events))
-	for i, e := range p.Events {
-		names[i] = e.Name
-	}
-	return names
-}
-
-// Total sums the recorded pass durations.
-func (p *Pipeline) Total() time.Duration {
-	if p == nil {
-		return 0
-	}
-	var ns int64
-	for _, e := range p.Events {
-		ns += e.DurationNS
-	}
-	return time.Duration(ns)
-}
-
-// WriteJSON emits the event stream as indented JSON.
-func (p *Pipeline) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p.Events)
+	return slices.DeleteFunc(rows, func(r PassEvent) bool { return r.Name == "" })
 }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -97,10 +95,20 @@ func TestLoopCensus(t *testing.T) {
 	}
 }
 
-func TestObserveRecordsDeltaAndExtra(t *testing.T) {
+// passSpan records one pass span on tr the way the driver does:
+// snapshot, open, run, stop the clock, snapshot again.
+func passSpan(tr *Tracer, name string, index, tid int, m *ir.Module, run func() map[string]int64) {
+	before := Measure(m)
+	sp := tr.Start(name, "pass", tid)
+	extra := run()
+	sp = sp.Stop().AddArgs(extra)
+	sp.Pass(PassAttrs{Index: index, Before: before, After: Measure(m), IRDump: tr.DumpIR(name, m)}).End()
+}
+
+func TestPassSpanRecordsDeltaAndExtra(t *testing.T) {
 	m := testModule()
-	p := &Pipeline{}
-	err := p.Observe("strip-stores", m, func() (map[string]int64, error) {
+	tr := newTracerClock(fakeClock(1000))
+	passSpan(tr, "strip-stores", 0, 0, m, func() map[string]int64 {
 		// Delete the scalar store, as promotion would.
 		b := m.Funcs["main"].Entry
 		var kept []ir.Instr
@@ -110,15 +118,13 @@ func TestObserveRecordsDeltaAndExtra(t *testing.T) {
 			}
 		}
 		b.Instrs = kept
-		return map[string]int64{"removed": 1}, nil
+		return map[string]int64{"removed": 1}
 	})
-	if err != nil {
-		t.Fatal(err)
+	rows := tr.Passes()
+	if len(rows) != 1 {
+		t.Fatalf("got %d rows, want 1", len(rows))
 	}
-	if len(p.Events) != 1 {
-		t.Fatalf("got %d events, want 1", len(p.Events))
-	}
-	e := p.Events[0]
+	e := rows[0]
 	d := e.Delta()
 	if d.Instrs != -1 || d.Mem.ScalarStores != -1 {
 		t.Fatalf("delta = %+v, want Δinstrs=-1 ΔsStore=-1", d)
@@ -129,75 +135,122 @@ func TestObserveRecordsDeltaAndExtra(t *testing.T) {
 	if e.Extra["removed"] != 1 {
 		t.Fatalf("extra = %v", e.Extra)
 	}
-	if e.DurationNS < 0 {
-		t.Fatalf("negative duration %d", e.DurationNS)
-	}
-	if p.Event("strip-stores") != e || p.Event("nope") != nil {
-		t.Fatal("Event lookup broken")
+	// The fake clock ticks once at Start and once at Stop; the second
+	// snapshot, taken after Stop, is not billed to the pass.
+	if e.DurationNS != 1000 {
+		t.Fatalf("duration %d, want 1000", e.DurationNS)
 	}
 }
 
-func TestObserveNilPipelineAndErrors(t *testing.T) {
-	var p *Pipeline
-	ran := false
-	if err := p.Observe("x", nil, func() (map[string]int64, error) { ran = true; return nil, nil }); err != nil {
-		t.Fatal(err)
+// TestPassViewNilTracerAndErrors checks the degenerate cases: a nil
+// tracer has no rows, and spans without pass attributes (a pass that
+// failed, the compile root, a middle-end work item) are not rows.
+func TestPassViewNilTracerAndErrors(t *testing.T) {
+	var nilTracer *Tracer
+	if nilTracer.Passes() != nil || nilTracer.DumpIR("x", testModule()) != "" {
+		t.Fatal("nil tracer must have no rows and no dumps")
 	}
-	if !ran {
-		t.Fatal("nil pipeline must still run the pass")
+	tr := NewTracer()
+	tr.Start("compile", "compile", 0).End()
+	tr.Start("bad", "pass", 0).Stop().Arg("n", 1).End()
+	if rows := tr.Passes(); len(rows) != 0 {
+		t.Fatalf("spans without pass attributes became rows: %+v", rows)
 	}
-	if p.FormatTable() != "" || p.Total() != 0 || p.PassNames() != nil || p.Event("x") != nil {
-		t.Fatal("nil pipeline accessors must be no-ops")
-	}
+}
 
-	q := &Pipeline{}
-	wantErr := errors.New("pass failed")
-	if err := q.Observe("bad", testModule(), func() (map[string]int64, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v, want %v", err, wantErr)
+// TestPassesFoldPerFunctionSpans checks the view over a per-function
+// pass: two functions' spans on worker threads fold to the module
+// snapshot and summed extras, and a summary span's totals replace the
+// summed extras instead of adding to them.
+func TestPassesFoldPerFunctionSpans(t *testing.T) {
+	fnA := Snapshot{Funcs: 1, Blocks: 2, Instrs: 10, Mem: MemOps{ScalarLoads: 4}}
+	fnB := Snapshot{Funcs: 1, Blocks: 3, Instrs: 20, Mem: MemOps{PtrStores: 1}}
+	afterA, afterB := fnA, fnB
+	afterA.Instrs -= 3
+	afterB.Instrs -= 4
+	tr := newTracerClock(fakeClock(1000))
+	for _, f := range []struct {
+		tid           int
+		before, after Snapshot
+		extra         map[string]int64
+	}{
+		{1, fnA, afterA, map[string]int64{"changed": 3, "max_live": 5}},
+		{2, fnB, afterB, map[string]int64{"changed": 4, "max_live": 9}},
+	} {
+		tr.Start("regalloc", "pass", f.tid).AddArgs(f.extra).Stop().
+			Pass(PassAttrs{Index: 1, Before: f.before, After: f.after}).End()
 	}
-	if len(q.Events) != 0 {
-		t.Fatal("failed pass must not record an event")
+	tr.Start("regalloc", "pass", 0).Arg("changed", 7).Arg("max_live", 9).
+		Pass(PassAttrs{Index: 1, Summary: true}).End()
+	tr.Start("clean", "pass", 0).Pass(PassAttrs{Index: 2, Summary: true}).End()
+
+	rows := tr.Passes()
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2: %+v", len(rows), rows)
+	}
+	r := rows[0]
+	if r.Index != 1 || r.Name != "regalloc" {
+		t.Fatalf("row = %d/%s, want 1/regalloc", r.Index, r.Name)
+	}
+	if r.Before != fnA.Add(fnB) || r.After != afterA.Add(afterB) {
+		t.Errorf("snapshots %+v → %+v, want the module sums", r.Before, r.After)
+	}
+	if !reflect.DeepEqual(r.Extra, map[string]int64{"changed": 7, "max_live": 9}) {
+		t.Errorf("extras = %v, want the summary's totals (max_live 9, not 14)", r.Extra)
+	}
+	if r.DurationNS != 2000 {
+		t.Errorf("duration = %d, want the two per-function spans' 2000", r.DurationNS)
+	}
+	// A pass no function ran still has its row, from its summary.
+	if rows[1].Name != "clean" || rows[1].Extra != nil {
+		t.Errorf("row 2 = %+v", rows[1])
+	}
+	// Without a summary's totals, extras sum.
+	tr = NewTracer()
+	tr.Start("dce", "pass", 1).Arg("changed", 2).Pass(PassAttrs{Index: 0}).End()
+	tr.Start("dce", "pass", 2).Arg("changed", 5).Pass(PassAttrs{Index: 0}).End()
+	tr.Start("dce", "pass", 0).Pass(PassAttrs{Index: 0, Summary: true}).End()
+	if got := tr.Passes()[0].Extra["changed"]; got != 7 {
+		t.Errorf("summed changed = %d, want 7", got)
 	}
 }
 
 func TestEventJSONRoundTrip(t *testing.T) {
 	m := testModule()
-	p := &Pipeline{DumpPass: DumpAll}
-	for _, name := range []string{"constprop", "promote"} {
-		if err := p.Observe(name, m, func() (map[string]int64, error) {
-			return map[string]int64{"scalar_promotions": 2}, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+	tr := NewTracer()
+	tr.DumpPass = DumpAll
+	for i, name := range []string{"constprop", "promote"} {
+		passSpan(tr, name, i, 0, m, func() map[string]int64 {
+			return map[string]int64{"scalar_promotions": 2}
+		})
 	}
-	var buf bytes.Buffer
-	if err := p.WriteJSON(&buf); err != nil {
+	rows := tr.Passes()
+	raw, err := json.Marshal(rows)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var back []*PassEvent
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	var back []PassEvent
+	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, p.Events) {
-		t.Fatalf("round trip mismatch:\n%+v\nvs\n%+v", back[0], p.Events[0])
+	if !reflect.DeepEqual(back, rows) {
+		t.Fatalf("round trip mismatch:\n%+v\nvs\n%+v", back[0], rows[0])
 	}
 	if back[1].IRDump == "" || !strings.Contains(back[1].IRDump, "func main") {
 		t.Fatal("IR dump lost in round trip")
 	}
-	if got := p.PassNames(); !reflect.DeepEqual(got, []string{"constprop", "promote"}) {
-		t.Fatalf("PassNames = %v", got)
+	if back[0].Name != "constprop" || back[1].Name != "promote" {
+		t.Fatalf("rows = %s, %s", back[0].Name, back[1].Name)
 	}
 }
 
 func TestFormatTable(t *testing.T) {
 	m := testModule()
-	p := &Pipeline{}
-	if err := p.Observe("promote", m, func() (map[string]int64, error) {
-		return map[string]int64{"scalar_promotions": 1}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	table := p.FormatTable()
+	tr := NewTracer()
+	passSpan(tr, "promote", 0, 0, m, func() map[string]int64 {
+		return map[string]int64{"scalar_promotions": 1}
+	})
+	table := FormatTable(tr.Passes())
 	for _, want := range []string{"pass", "promote", "ΔsStore", "scalar_promotions=1", "total"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table missing %q:\n%s", want, table)

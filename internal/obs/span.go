@@ -3,17 +3,20 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
+
+	"regpromo/internal/ir"
 )
 
 // This file is the span half of the observability layer: hierarchical
-// wall-clock spans (compile → per-function middle-end work items →
-// per-pass → per-analysis fixpoints, plus interpreter execute spans)
-// with numeric attributes and string labels, collected by a Tracer and
-// exportable both as a plain JSON span list and as Chrome trace_event
-// JSON viewable in about:tracing or Perfetto.
+// wall-clock spans (compile → passes → per-function middle-end work
+// items, plus interpreter execute spans) with numeric attributes and
+// string labels, collected by a Tracer and exportable as Chrome
+// trace_event JSON viewable in about:tracing or Perfetto. Pass spans
+// also carry PassAttrs, which Tracer.Passes folds into per-pass rows.
 //
 // Everything is nil-safe: a nil *Tracer hands out zero Spans whose
 // methods do nothing, so instrumented code pays one pointer test when
@@ -27,7 +30,7 @@ type SpanEvent struct {
 	// name for middle-end work items, "execute").
 	Name string `json:"name"`
 	// Cat is the span's category ("compile", "pass", "middleend",
-	// "analysis", "interp"); Chrome's trace viewer filters on it.
+	// "interp"); Chrome's trace viewer filters on it.
 	Cat string `json:"cat,omitempty"`
 	// TID is the logical thread the span ran on: 0 is the coordinating
 	// goroutine, worker w of the parallel middle end is w+1. Spans on
@@ -43,12 +46,36 @@ type SpanEvent struct {
 	Args map[string]int64 `json:"args,omitempty"`
 	// Labels carries string attributes (function name, engine, …).
 	Labels map[string]string `json:"labels,omitempty"`
+	// Pass is set on pass spans only.
+	Pass *PassAttrs `json:"pass,omitempty"`
+}
+
+// PassAttrs are what make a span a pass span: the pass's position in
+// the pipeline and the static snapshots of its scope (the module, or
+// the one function a per-function span covers). A pass's extras are
+// the span's Args.
+type PassAttrs struct {
+	Index  int      `json:"index"`
+	Before Snapshot `json:"before"`
+	After  Snapshot `json:"after"`
+	// Summary marks the span that closes a per-function pass on the
+	// coordinating thread once every function has run it. It carries
+	// no snapshots; its args, if any, are the pass's module-wide
+	// totals.
+	Summary bool `json:"summary,omitempty"`
+	// IRDump is the module's IL after the pass, when the tracer's
+	// DumpPass asked for it.
+	IRDump string `json:"ir_dump,omitempty"`
 }
 
 // Tracer collects spans from any number of goroutines. The zero value
 // is not usable; construct with NewTracer. A nil *Tracer is a valid
 // no-op tracer.
 type Tracer struct {
+	// DumpPass names the pass whose output IL its pass span captures
+	// (DumpAll captures every pass). Set it before the compile starts.
+	DumpPass string
+
 	mu      sync.Mutex
 	epoch   time.Time
 	now     func() time.Time // test hook; time.Now outside tests
@@ -57,11 +84,7 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer whose epoch is the current time.
-func NewTracer() *Tracer {
-	t := &Tracer{now: time.Now, threads: make(map[int]string)}
-	t.epoch = t.now()
-	return t
-}
+func NewTracer() *Tracer { return newTracerClock(time.Now) }
 
 // newTracerClock is the deterministic constructor tests use: now is
 // called once at construction (the epoch) and once per span start and
@@ -75,9 +98,9 @@ func newTracerClock(now func() time.Time) *Tracer {
 // Span is an open span handle. The zero Span (from a nil tracer)
 // discards everything.
 type Span struct {
-	t     *Tracer
-	ev    *SpanEvent
-	start time.Time
+	t          *Tracer
+	ev         *SpanEvent
+	start, end time.Time
 }
 
 // Start opens a span on logical thread tid. End completes it.
@@ -132,16 +155,45 @@ func (s Span) Label(k, v string) Span {
 	return s
 }
 
+// Pass marks the span as a pass span carrying p.
+func (s Span) Pass(p PassAttrs) Span {
+	if s.t != nil {
+		s.ev.Pass = &p
+	}
+	return s
+}
+
+// Stop freezes the span's clock; End then records the span with that
+// duration. Work done between the two, such as measuring what a pass
+// did, is not billed to the span.
+func (s Span) Stop() Span {
+	if s.t != nil {
+		s.end = s.t.now()
+	}
+	return s
+}
+
 // End completes the span and records it on the tracer. Safe from any
 // goroutine; a zero Span does nothing.
 func (s Span) End() {
 	if s.t == nil {
 		return
 	}
-	s.ev.DurNS = s.t.now().Sub(s.start).Nanoseconds()
+	if s.end.IsZero() {
+		s.end = s.t.now()
+	}
+	s.ev.DurNS = s.end.Sub(s.start).Nanoseconds()
 	s.t.mu.Lock()
 	s.t.spans = append(s.t.spans, *s.ev)
 	s.t.mu.Unlock()
+}
+
+// DumpIR returns m's IL if DumpPass asks for pass name, else "".
+func (t *Tracer) DumpIR(name string, m *ir.Module) string {
+	if t == nil || m == nil || (t.DumpPass != DumpAll && t.DumpPass != name) {
+		return ""
+	}
+	return ir.FormatModule(m)
 }
 
 // NameThread assigns a display name to a logical thread id, emitted
@@ -180,14 +232,6 @@ func (t *Tracer) Spans() []SpanEvent {
 	return out
 }
 
-// WriteJSON emits the sorted span list as indented JSON (the plain
-// span-list encoding; WriteChromeTrace is the trace-viewer encoding).
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.Spans())
-}
-
 // chromeEvent is one Chrome trace_event record. "X" complete events
 // carry microsecond ts/dur; "M" metadata events name threads.
 type chromeEvent struct {
@@ -208,12 +252,27 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
+// WriteChromeTraceFile writes the span stream to path as Chrome
+// trace_event JSON.
+func (t *Tracer) WriteChromeTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // WriteChromeTrace emits the span stream as Chrome trace_event JSON:
 // open the file in about:tracing or https://ui.perfetto.dev. Spans on
-// one tid nest by time containment, so the compile span contains the
-// pass spans, which contain per-function and fixpoint spans. Output
-// is deterministic given deterministic timings (spans sorted, map
-// keys sorted by encoding/json).
+// one tid nest by time containment: on tid 0 the compile span
+// contains the module-wide pass spans, and on each worker tid a
+// function's middle-end span contains its per-function pass spans.
+// Output is deterministic given deterministic timings (spans sorted,
+// map keys sorted by encoding/json).
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	var events []chromeEvent
 	t.mu.Lock()

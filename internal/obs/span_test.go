@@ -72,18 +72,20 @@ func TestChromeTraceZeroDuration(t *testing.T) {
 	}
 }
 
-// TestSpanJSONRoundTrip checks that the plain span-list encoding
-// decodes back to the exact spans the tracer recorded.
+// TestSpanJSONRoundTrip checks that the span list's JSON encoding,
+// pass attributes included, decodes back to the exact spans the
+// tracer recorded.
 func TestSpanJSONRoundTrip(t *testing.T) {
 	tr := newTracerClock(fakeClock(1000))
 	tr.Start("a", "pass", 0).Arg("n", 7).End()
-	tr.Start("b", "analysis", 2).Label("engine", "flat").AddArgs(map[string]int64{"x": 1, "y": 2}).End()
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	tr.Start("b", "middleend", 2).Label("engine", "flat").AddArgs(map[string]int64{"x": 1, "y": 2}).End()
+	tr.Start("c", "pass", 1).Pass(PassAttrs{Index: 3, After: Snapshot{Funcs: 1, Instrs: 4}, IRDump: "func main"}).End()
+	raw, err := json.Marshal(tr.Spans())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var got []SpanEvent
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
 	if want := tr.Spans(); !reflect.DeepEqual(got, want) {
@@ -117,14 +119,10 @@ func TestNilTracerNoOps(t *testing.T) {
 	var tr *Tracer
 	sp := tr.Start("compile", "compile", 0)
 	sp = sp.Arg("n", 1).AddArgs(map[string]int64{"m": 2}).Label("k", "v")
-	sp.End()
+	sp.Stop().Pass(PassAttrs{Index: 1}).End()
 	tr.NameThread(0, "main")
 	if got := tr.Spans(); got != nil {
 		t.Errorf("nil tracer recorded spans: %v", got)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
 	}
 }
 
