@@ -2,13 +2,15 @@ package parser
 
 import (
 	"regpromo/internal/cc/ast"
+	"regpromo/internal/cc/lexer"
 	"regpromo/internal/cc/token"
 	"regpromo/internal/cc/types"
 )
 
-// Binary operator precedence, highest binds tightest. Assignment and
-// ?: are handled separately (right-associative).
-var binPrec = map[token.Kind]int{
+// Binary operator precedence, highest binds tightest; 0 marks a kind
+// that is not a binary operator. Assignment and ?: are handled
+// separately (right-associative).
+var binPrec = [token.NumKinds]int{
 	token.OrOr:    1,
 	token.AndAnd:  2,
 	token.Or:      3,
@@ -59,7 +61,7 @@ func (p *Parser) parseAssignExpr() (ast.Expr, error) {
 		return nil, err
 	}
 	n := &ast.Assign{Op: op.Kind, X: lhs, Y: rhs}
-	n.SetPos(op.Pos)
+	n.SetPos(p.posOf(op))
 	return n, nil
 }
 
@@ -84,7 +86,7 @@ func (p *Parser) parseCondExpr() (ast.Expr, error) {
 		return nil, err
 	}
 	n := &ast.Cond{C: c, X: x, Y: y}
-	n.SetPos(q.Pos)
+	n.SetPos(p.posOf(q))
 	return n, nil
 }
 
@@ -94,8 +96,9 @@ func (p *Parser) parseBinaryExpr(minPrec int) (ast.Expr, error) {
 		return nil, err
 	}
 	for {
-		prec, ok := binPrec[p.cur().Kind]
-		if !ok || prec < minPrec {
+		// minPrec is at least 1, so a non-operator (0) ends the loop.
+		prec := binPrec[p.cur().Kind]
+		if prec < minPrec {
 			return lhs, nil
 		}
 		op := p.next()
@@ -104,13 +107,13 @@ func (p *Parser) parseBinaryExpr(minPrec int) (ast.Expr, error) {
 			return nil, err
 		}
 		n := &ast.Binary{Op: op.Kind, X: lhs, Y: rhs}
-		n.SetPos(op.Pos)
+		n.SetPos(p.posOf(op))
 		lhs = n
 	}
 }
 
 func (p *Parser) parseUnaryExpr() (ast.Expr, error) {
-	pos := p.cur().Pos
+	pos := p.curPos()
 	switch p.cur().Kind {
 	case token.Plus:
 		p.next()
@@ -236,7 +239,7 @@ func (p *Parser) parsePostfixExpr() (ast.Expr, error) {
 		return nil, err
 	}
 	for {
-		pos := p.cur().Pos
+		pos := p.curPos()
 		switch p.cur().Kind {
 		case token.LBracket:
 			p.next()
@@ -274,7 +277,7 @@ func (p *Parser) parsePostfixExpr() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			n := &ast.Member{X: x, Name: nameTok.Text, Arrow: arrow}
+			n := &ast.Member{X: x, Name: p.text(nameTok), Arrow: arrow}
 			n.SetPos(pos)
 			x = n
 		case token.Inc, token.Dec:
@@ -289,31 +292,22 @@ func (p *Parser) parsePostfixExpr() (ast.Expr, error) {
 }
 
 func (p *Parser) parsePrimaryExpr() (ast.Expr, error) {
-	pos := p.cur().Pos
+	pos := p.curPos()
 	switch p.cur().Kind {
-	case token.IntLit:
-		t := p.next()
-		n := &ast.IntLit{Value: t.Int}
-		n.SetPos(pos)
-		return n, nil
-	case token.CharLit:
-		t := p.next()
-		n := &ast.IntLit{Value: t.Int}
+	case token.IntLit, token.CharLit:
+		n := &ast.IntLit{Value: lexer.Decode(p.src, p.next()).Int}
 		n.SetPos(pos)
 		return n, nil
 	case token.FloatLit:
-		t := p.next()
-		n := &ast.FloatLit{Value: t.Float}
+		n := &ast.FloatLit{Value: lexer.Decode(p.src, p.next()).Float}
 		n.SetPos(pos)
 		return n, nil
 	case token.StringLit:
-		t := p.next()
-		n := &ast.StringLit{Value: t.Str}
+		n := &ast.StringLit{Value: lexer.Decode(p.src, p.next()).Str}
 		n.SetPos(pos)
 		return n, nil
 	case token.Ident:
-		t := p.next()
-		n := &ast.Ident{Name: t.Text}
+		n := &ast.Ident{Name: p.text(p.next())}
 		n.SetPos(pos)
 		return n, nil
 	case token.LParen:
@@ -327,5 +321,5 @@ func (p *Parser) parsePrimaryExpr() (ast.Expr, error) {
 		}
 		return x, nil
 	}
-	return nil, p.errorf("expected expression, found %s", p.cur())
+	return nil, p.errorf("expected expression, found %s", p.tokString(p.cur()))
 }

@@ -12,7 +12,7 @@ func (p *Parser) parseBlock() (*ast.Block, error) {
 		return nil, err
 	}
 	b := &ast.Block{}
-	b.SetPos(lb.Pos)
+	b.SetPos(p.posOf(lb))
 	for !p.at(token.RBrace) {
 		if p.at(token.EOF) {
 			return nil, p.errorf("unexpected EOF in block")
@@ -96,7 +96,7 @@ func newListExpr(pos token.Pos) *ast.ListExpr {
 }
 
 func (p *Parser) parseStmt() (ast.Stmt, error) {
-	pos := p.cur().Pos
+	pos := p.curPos()
 	switch p.cur().Kind {
 	case token.LBrace:
 		return p.parseBlock()
@@ -152,7 +152,7 @@ func (p *Parser) parseStmt() (ast.Stmt, error) {
 }
 
 func (p *Parser) parseLocalDecl() (*ast.DeclStmt, error) {
-	pos := p.cur().Pos
+	pos := p.curPos()
 	for p.at(token.KwStatic) || p.at(token.KwExtern) {
 		p.next()
 	}
@@ -194,7 +194,7 @@ func (p *Parser) parseLocalDecl() (*ast.DeclStmt, error) {
 
 func (p *Parser) parseInitializer() (ast.Expr, error) {
 	if p.at(token.LBrace) {
-		pos := p.cur().Pos
+		pos := p.curPos()
 		p.next()
 		list := newListExpr(pos)
 		for !p.at(token.RBrace) {
@@ -216,7 +216,7 @@ func (p *Parser) parseInitializer() (ast.Expr, error) {
 }
 
 func (p *Parser) parseIf() (ast.Stmt, error) {
-	pos := p.cur().Pos
+	pos := p.curPos()
 	p.next() // if
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err
@@ -245,7 +245,7 @@ func (p *Parser) parseIf() (ast.Stmt, error) {
 }
 
 func (p *Parser) parseWhile() (ast.Stmt, error) {
-	pos := p.cur().Pos
+	pos := p.curPos()
 	p.next() // while
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err
@@ -267,7 +267,7 @@ func (p *Parser) parseWhile() (ast.Stmt, error) {
 }
 
 func (p *Parser) parseDoWhile() (ast.Stmt, error) {
-	pos := p.cur().Pos
+	pos := p.curPos()
 	p.next() // do
 	body, err := p.parseStmt()
 	if err != nil {
@@ -295,7 +295,7 @@ func (p *Parser) parseDoWhile() (ast.Stmt, error) {
 }
 
 func (p *Parser) parseFor() (ast.Stmt, error) {
-	pos := p.cur().Pos
+	pos := p.curPos()
 	p.next() // for
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err

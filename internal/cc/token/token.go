@@ -5,7 +5,7 @@ package token
 import "fmt"
 
 // Kind identifies a token class.
-type Kind int
+type Kind uint8
 
 const (
 	EOF Kind = iota
@@ -87,9 +87,13 @@ const (
 	Tilde // ~
 	Inc   // ++
 	Dec   // --
+
+	// NumKinds is the number of token kinds, for tables indexed by
+	// Kind.
+	NumKinds
 )
 
-var names = map[Kind]string{
+var names = [NumKinds]string{
 	EOF: "EOF", Ident: "identifier", IntLit: "integer literal",
 	FloatLit: "float literal", CharLit: "char literal", StringLit: "string literal",
 	KwBreak: "break", KwChar: "char", KwConst: "const", KwContinue: "continue",
@@ -109,8 +113,8 @@ var names = map[Kind]string{
 }
 
 func (k Kind) String() string {
-	if s, ok := names[k]; ok {
-		return s
+	if k < NumKinds {
+		return names[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -138,34 +142,28 @@ func (p Pos) String() string {
 	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
 }
 
-// Token is one lexical token.
+// Token is one lexical token: its kind, the line and column where it
+// starts, and the byte span [Off, Off+Len) of its spelling in the
+// source. It holds no pointer, so the garbage collector never scans a
+// token slice. Callers read an identifier's spelling back with Text
+// and a literal's value with lexer.Decode.
+//
+// A string literal's span runs from its first opening quote to its
+// last closing quote: adjacent literals, and the space and comments
+// between them, form one token.
 type Token struct {
 	Kind Kind
-	Pos  Pos
-
-	// Text is the identifier or literal spelling.
-	Text string
-	// Int is the decoded value of IntLit and CharLit tokens.
-	Int int64
-	// Float is the decoded value of FloatLit tokens.
-	Float float64
-	// Str is the decoded value of StringLit tokens (escapes
-	// processed, no terminating NUL).
-	Str string
+	Line int32
+	Col  int32
+	Off  int32
+	Len  int32
 }
 
-func (t Token) String() string {
-	switch t.Kind {
-	case Ident:
-		return t.Text
-	case IntLit:
-		return fmt.Sprintf("%d", t.Int)
-	case FloatLit:
-		return fmt.Sprintf("%g", t.Float)
-	case CharLit:
-		return fmt.Sprintf("%q", rune(t.Int))
-	case StringLit:
-		return fmt.Sprintf("%q", t.Str)
-	}
-	return t.Kind.String()
+// Text returns the token's spelling in src, the source it was scanned
+// from.
+func (t Token) Text(src string) string { return src[t.Off : t.Off+t.Len] }
+
+// Pos returns the token's position in the named file.
+func (t Token) Pos(file string) Pos {
+	return Pos{File: file, Line: int(t.Line), Col: int(t.Col)}
 }
