@@ -549,7 +549,7 @@ func (g *generator) genShortCircuit(n *ast.Binary) (ir.Reg, error) {
 	}
 
 	// Short-circuit arm: result is 0 for &&, 1 for ||.
-	g.cur = short
+	g.enter(short)
 	sv := int64(0)
 	if n.Op == token.OrOr {
 		sv = 1
@@ -559,7 +559,7 @@ func (g *generator) genShortCircuit(n *ast.Binary) (ir.Reg, error) {
 	g.branchTo(join)
 
 	// Full-evaluation arm: result is !!y.
-	g.cur = evalY
+	g.enter(evalY)
 	y, err := g.genTruth(n.Y)
 	if err != nil {
 		return ir.RegInvalid, err
@@ -567,7 +567,7 @@ func (g *generator) genShortCircuit(n *ast.Binary) (ir.Reg, error) {
 	g.emit(ir.Instr{Op: ir.OpCopy, Dst: result, A: y})
 	g.branchTo(join)
 
-	g.cur = join
+	g.enter(join)
 	return result, nil
 }
 
@@ -669,21 +669,21 @@ func (g *generator) genCondExpr(n *ast.Cond) (ir.Reg, error) {
 	if err := g.genCond(n.C, thenB, elseB); err != nil {
 		return ir.RegInvalid, err
 	}
-	g.cur = thenB
+	g.enter(thenB)
 	x, err := g.genExprAs(n.X, n.Type())
 	if err != nil {
 		return ir.RegInvalid, err
 	}
 	g.emit(ir.Instr{Op: ir.OpCopy, Dst: result, A: x})
 	g.branchTo(join)
-	g.cur = elseB
+	g.enter(elseB)
 	y, err := g.genExprAs(n.Y, n.Type())
 	if err != nil {
 		return ir.RegInvalid, err
 	}
 	g.emit(ir.Instr{Op: ir.OpCopy, Dst: result, A: y})
 	g.branchTo(join)
-	g.cur = join
+	g.enter(join)
 	return result, nil
 }
 
@@ -774,14 +774,14 @@ func (g *generator) genCond(e ast.Expr, t, f *ir.Block) error {
 			if err := g.genCond(n.X, mid, f); err != nil {
 				return err
 			}
-			g.cur = mid
+			g.enter(mid)
 			return g.genCond(n.Y, t, f)
 		case token.OrOr:
 			mid := g.fn.NewBlock("")
 			if err := g.genCond(n.X, t, mid); err != nil {
 				return err
 			}
-			g.cur = mid
+			g.enter(mid)
 			return g.genCond(n.Y, t, f)
 		case token.Eq, token.NotEq, token.Lt, token.Le, token.Gt, token.Ge:
 			v, err := g.genBinary(n)
@@ -791,7 +791,7 @@ func (g *generator) genCond(e ast.Expr, t, f *ir.Block) error {
 			g.emit(ir.Instr{Op: ir.OpCBr, A: v})
 			ir.AddEdge(g.cur, t)
 			ir.AddEdge(g.cur, f)
-			g.cur = nil
+			g.enter(nil)
 			return nil
 		}
 	case *ast.Unary:
@@ -806,7 +806,7 @@ func (g *generator) genCond(e ast.Expr, t, f *ir.Block) error {
 	g.emit(ir.Instr{Op: ir.OpCBr, A: v})
 	ir.AddEdge(g.cur, t)
 	ir.AddEdge(g.cur, f)
-	g.cur = nil
+	g.enter(nil)
 	return nil
 }
 
