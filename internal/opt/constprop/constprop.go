@@ -22,34 +22,45 @@ func Run(m *ir.Module) int {
 	return n
 }
 
+// regFact is what one round knows of a register: how many static
+// definitions it has, and whether one of them is a LoadI and of what.
+type regFact struct {
+	defs    int32
+	isConst bool
+	val     int64
+}
+
 // Func propagates constants through one function.
 func Func(fn *ir.Func) int {
 	folded := 0
+	facts := make([]regFact, fn.NumRegs)
 	for {
-		defCount := make(map[ir.Reg]int)
-		constVal := make(map[ir.Reg]int64)
-		isConst := make(map[ir.Reg]bool)
+		clear(facts)
 		// Parameters are defined implicitly at entry by the calling
 		// convention; an in-body assignment is therefore a SECOND
 		// definition, never a unique one.
 		for _, p := range fn.Params {
-			defCount[p]++
+			facts[p].defs++
 		}
 		for _, b := range fn.Blocks {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				if d := in.Def(); d != ir.RegInvalid {
-					defCount[d]++
+					f := &facts[d]
+					f.defs++
 					if in.Op == ir.OpLoadI {
-						constVal[d] = in.Imm
-						isConst[d] = true
+						f.val = in.Imm
+						f.isConst = true
 					}
 				}
 			}
 		}
 		known := func(r ir.Reg) (int64, bool) {
-			if defCount[r] == 1 && isConst[r] {
-				return constVal[r], true
+			if r == ir.RegInvalid {
+				return 0, false
+			}
+			if f := &facts[r]; f.defs == 1 && f.isConst {
+				return f.val, true
 			}
 			return 0, false
 		}
@@ -58,9 +69,9 @@ func Func(fn *ir.Func) int {
 		// fact, so registering it now only accelerates convergence
 		// (the fixpoint is the same; rewrites never retract).
 		setConst := func(d ir.Reg, v int64) {
-			if defCount[d] == 1 {
-				constVal[d] = v
-				isConst[d] = true
+			if f := &facts[d]; f.defs == 1 {
+				f.val = v
+				f.isConst = true
 			}
 		}
 
