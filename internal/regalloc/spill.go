@@ -67,18 +67,43 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 	// The caller passes the representative registers of a coalesced
 	// graph together with its find function, so member registers of
 	// a spilled class resolve to the class slot.
+	spilled := func(r ir.Reg) bool { return spillSet.has(find(r)) }
+	var uses []ir.Reg
+	touches := func(in *ir.Instr) bool {
+		if d := in.Def(); d != ir.RegInvalid && spilled(d) {
+			return true
+		}
+		uses = in.Uses(uses[:0])
+		for _, u := range uses {
+			if spilled(u) {
+				return true
+			}
+		}
+		return false
+	}
+	// A block that neither reads nor defines a spilled class keeps its
+	// instructions; the others are rebuilt in out, which every block
+	// reuses, and stored as an exact-size copy.
+	var out []ir.Instr
 	for _, b := range fn.Blocks {
-		var out []ir.Instr
-		for i := range b.Instrs {
+		first := 0
+		for first < len(b.Instrs) && !touches(&b.Instrs[first]) {
+			first++
+		}
+		if first == len(b.Instrs) {
+			continue
+		}
+		out = append(out[:0], b.Instrs[:first]...)
+		for i := first; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
 
 			// Loads (or rematerializations) for spilled uses.
 			loaded = loaded[:0]
 			in.MapUses(func(u ir.Reg) ir.Reg {
-				rep := find(u)
-				if !spillSet.has(rep) {
+				if !spilled(u) {
 					return u
 				}
+				rep := find(u)
 				for _, l := range loaded {
 					if l[0] == rep {
 						return l[1]
@@ -102,8 +127,7 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 			// (pure, operand-free) instruction is dead — keeping it
 			// would preserve the very live range that failed to
 			// color, and the allocator would pick it again forever.
-			d := in.Def()
-			if d != ir.RegInvalid && spillSet.has(find(d)) {
+			if d := in.Def(); d != ir.RegInvalid && spilled(d) {
 				rep := find(d)
 				if _, isRemat := remat[rep]; isRemat {
 					continue
@@ -117,7 +141,8 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 			}
 			out = append(out, in)
 		}
-		b.Instrs = out
+		b.Instrs = make([]ir.Instr, len(out))
+		copy(b.Instrs, out)
 	}
 
 	// A spilled parameter receives its argument in the register at
