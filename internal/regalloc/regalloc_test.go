@@ -244,3 +244,64 @@ func TestLivenessComputation(t *testing.T) {
 		t.Fatal("r0 is defined in entry, not live into it")
 	}
 }
+
+// TestInsertSpillsRebuildsOnlyTouchedBlocks spills the loop's n-1
+// temporary: the block that defines and reads it is rebuilt at its
+// exact size, and the others keep their instruction slices.
+func TestInsertSpillsRebuildsOnlyTouchedBlocks(t *testing.T) {
+	src := `
+int f(int n) {
+	int s;
+	s = 0;
+	while (n > 0) { s = s + n; n = n - 1; }
+	if (s > 100) { return 100; }
+	return s;
+}
+int main(void) { return f(20); }
+`
+	want := testutil.Run(t, testutil.Compile(t, src))
+	m := testutil.Compile(t, src)
+	fn := m.Funcs["f"]
+	g := build(fn, blockWeights(fn))
+	spill := ir.RegInvalid
+	for _, b := range fn.Blocks {
+		for i := range b.Instrs {
+			if b.Instrs[i].Op == ir.OpSub && spill == ir.RegInvalid {
+				spill = b.Instrs[i].Dst
+			}
+		}
+	}
+
+	mentions := map[*ir.Block]bool{}
+	first := map[*ir.Block]*ir.Instr{}
+	for _, b := range fn.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			for _, u := range in.Uses(nil) {
+				mentions[b] = mentions[b] || u == spill
+			}
+			mentions[b] = mentions[b] || in.Def() == spill
+		}
+		first[b] = &b.Instrs[0]
+	}
+	insertSpills(fn, []ir.Reg{spill}, g, &m.Tags)
+
+	touched, kept := 0, 0
+	for _, b := range fn.Blocks {
+		switch {
+		case mentions[b]:
+			touched++
+			if cap(b.Instrs) != len(b.Instrs) {
+				t.Errorf("%s: rebuilt with %d instructions and capacity %d", b.Label, len(b.Instrs), cap(b.Instrs))
+			}
+		case &b.Instrs[0] != first[b]:
+			t.Errorf("%s neither reads nor defines the spilled register but was rebuilt", b.Label)
+		default:
+			kept++
+		}
+	}
+	if touched == 0 || kept == 0 {
+		t.Fatalf("%d blocks touched, %d kept: the program no longer exercises both", touched, kept)
+	}
+	testutil.MustBehaveLike(t, m, want)
+}
